@@ -65,8 +65,6 @@ class RunConfig:
     judge_endpoints: list[str] = dataclasses.field(default_factory=list)
     endpoint_timeout: float = 30.0
     endpoint_retries: int = 2
-    # Dataset defaults (used when worlds are synthesized programmatically)
-    subset_size: int = 6
     # Evaluation
     k_list: list[int] = dataclasses.field(default_factory=lambda: [1, 5, 10, 50])
     subset_k_list: list[int] = dataclasses.field(default_factory=lambda: [1, 2, 3])
@@ -200,24 +198,17 @@ def cmd_filter(cfg: RunConfig) -> int:
 
 
 def _train_config(cfg: RunConfig, stage: int) -> trainer_mod.TrainConfig:
-    defaults = trainer_mod.STAGE1_DEFAULTS if stage == 1 else trainer_mod.STAGE2_DEFAULTS
-    return trainer_mod.TrainConfig(
-        stage=stage,
-        learning_rate=cfg.learning_rate or defaults["learning_rate"],
-        batch_size=cfg.batch_size or defaults["batch_size"],
-        epochs=defaults["epochs"] if cfg.epochs is None else cfg.epochs,
-        lambda_txt=cfg.lambda_txt,
-        lambda_info=cfg.lambda_info,
-        tau=cfg.tau,
-        seed=cfg.seed,
-        annotation_mode=cfg.annotation_mode,
+    # Flags left unset (None) take the stage's defaults from default_config.
+    overrides = {name: getattr(cfg, name) for name in ("learning_rate", "batch_size", "epochs")
+                 if getattr(cfg, name) is not None}
+    return trainer_mod.default_config(
+        stage, cfg.seed, lambda_txt=cfg.lambda_txt, lambda_info=cfg.lambda_info,
+        tau=cfg.tau, annotation_mode=cfg.annotation_mode, **overrides,
     )
 
 
 def cmd_train(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint")
-    if cfg.stage not in (1, 2):
-        raise CirliteError(f"--stage must be 1 or 2, got {cfg.stage}")
     train_config = _train_config(cfg, cfg.stage)
     log: list = []
     if cfg.stage == 1:

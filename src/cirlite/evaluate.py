@@ -11,7 +11,7 @@ import numpy as np
 from .data import Triplet, tokenize
 from .errors import CirliteError
 from .metrics import EvalReport, cirr_average, map_at_k, recall_at_k
-from .model import ParamSet, compose_query, encode_text
+from .model import ParamSet, compose_query, encode_text, image_block
 from .retrieval import (
     GalleryIndex,
     build_index_from_vectors,
@@ -34,7 +34,7 @@ def project_gallery(p: ParamSet, matrix: EmbeddingMatrix) -> GalleryIndex:
             f"gallery dimensionality {matrix.dims} does not match the "
             f"checkpoint's image input {p.d_img}"
         )
-    projected = np.tanh(matrix.values.astype(np.float64) @ p.w_img + p.b_img)
+    projected = image_block(p, matrix.values.astype(np.float64))
     return build_index_from_vectors(matrix.ids, projected)
 
 

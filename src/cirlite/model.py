@@ -36,6 +36,20 @@ class ModelError(CirliteError):
     """Shape mismatch, out-of-range token, or invalid parameter."""
 
 
+def param_shapes(vocab_size: int, d_tok: int, d_img: int, d_joint: int,
+                 d_hidden: int) -> dict[str, tuple]:
+    """Shape of every ParamSet tensor, in PARAM_FIELDS order."""
+    v, d, h = vocab_size, d_joint, d_hidden
+    return {
+        "tok_emb": (v + 1, d_tok),
+        "w_txt": (d_tok, d), "b_txt": (d,),
+        "w_img": (d_img, d), "b_img": (d,),
+        "w_comp": (2 * d, d), "b_comp": (d,),
+        "w_hid": (d + d_tok, h), "b_hid": (h,),
+        "w_out": (h, v), "b_out": (v,),
+    }
+
+
 @dataclass
 class ParamSet:
     """All trainable tensors plus the (fixed) softmax temperature.
@@ -59,16 +73,8 @@ class ParamSet:
     def __post_init__(self):
         for name in PARAM_FIELDS:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        v, d_tok = self.vocab_size, self.d_tok
-        d_img, d, h = self.d_img, self.d_joint, self.d_hidden
-        expected = {
-            "tok_emb": (v + 1, d_tok),
-            "w_txt": (d_tok, d), "b_txt": (d,),
-            "w_img": (d_img, d), "b_img": (d,),
-            "w_comp": (2 * d, d), "b_comp": (d,),
-            "w_hid": (d + d_tok, h), "b_hid": (h,),
-            "w_out": (h, v), "b_out": (v,),
-        }
+        expected = param_shapes(self.vocab_size, self.d_tok, self.d_img,
+                                self.d_joint, self.d_hidden)
         for name, shape in expected.items():
             actual = getattr(self, name).shape
             if actual != shape:
@@ -116,17 +122,10 @@ def init_params(
 ) -> ParamSet:
     """Uniform [-0.1, 0.1] initialization, fully determined by the seed."""
     rng = np.random.default_rng(seed)
-
-    def uniform(*shape):
-        return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
-
+    shapes = param_shapes(vocab_size, d_tok, d_img, d_joint, d_hidden)
     return ParamSet(
-        tok_emb=uniform(vocab_size + 1, d_tok),
-        w_txt=uniform(d_tok, d_joint), b_txt=uniform(d_joint),
-        w_img=uniform(d_img, d_joint), b_img=uniform(d_joint),
-        w_comp=uniform(2 * d_joint, d_joint), b_comp=uniform(d_joint),
-        w_hid=uniform(d_joint + d_tok, d_hidden), b_hid=uniform(d_hidden),
-        w_out=uniform(d_hidden, vocab_size), b_out=uniform(vocab_size),
+        **{name: rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
+           for name, shape in shapes.items()},
         temperature=temperature,
     )
 
@@ -138,31 +137,45 @@ def _check_tokens(p: ParamSet, toks, allow_bos: bool) -> None:
             raise ModelError(f"token {tok} outside [0, {limit})")
 
 
-def encode_text(p: ParamSet, toks: Sequence[int]) -> np.ndarray:
-    """Compress a non-empty token sequence into one joint-space vector.
+# Model blocks. Each is the one implementation of its computation, shared by
+# the batched forward (2-d inputs, one row per item or decoder position) and
+# the single-item functions below (1-d inputs); none validates its inputs.
 
-    Mean of token embeddings, affine text projection, tanh. Mean pooling
-    makes the encoding order-invariant.
-    """
+def pool_tokens(p: ParamSet, toks) -> np.ndarray:
+    """Mean token embedding; mean pooling makes the encoding order-invariant."""
+    return p.tok_emb[toks].mean(axis=0)
+
+
+def text_block(p: ParamSet, x_mean: np.ndarray) -> np.ndarray:
+    """Text encoder on pooled token embeddings: tanh(x_mean W_txt + b_txt)."""
+    return np.tanh(x_mean @ p.w_txt + p.b_txt)
+
+
+def image_block(p: ParamSet, imgs: np.ndarray) -> np.ndarray:
+    """Image projection into the joint space: tanh(img W_img + b_img)."""
+    return np.tanh(imgs @ p.w_img + p.b_img)
+
+
+def composer_block(p: ParamSet, g_img: np.ndarray, txt: np.ndarray):
+    """Fuse projected image and text encoding; returns (fused, query)."""
+    fused = np.concatenate([g_img, txt], axis=-1)
+    return fused, np.tanh(fused @ p.w_comp + p.b_comp)
+
+
+def decoder_block(p: ParamSet, q: np.ndarray, prev):
+    """Decoder on (query, previous token); returns (input, hidden, logits)."""
+    zd = np.concatenate([q, p.tok_emb[prev]], axis=-1)
+    a_hid = np.tanh(zd @ p.w_hid + p.b_hid)
+    return zd, a_hid, a_hid @ p.w_out + p.b_out
+
+
+def encode_text(p: ParamSet, toks: Sequence[int]) -> np.ndarray:
+    """Compress a non-empty token sequence into one joint-space vector."""
     toks = list(toks)
     if not toks:
         raise ModelError("cannot encode an empty token sequence")
     _check_tokens(p, toks, allow_bos=False)
-    pooled = p.tok_emb[toks].mean(axis=0)
-    return np.tanh(pooled @ p.w_txt + p.b_txt)
-
-
-def compose_query(p: ParamSet, img_vec, txt_vec) -> np.ndarray:
-    """Fuse a projected reference image and a text encoding into the query."""
-    img_vec = np.asarray(img_vec, dtype=np.float64)
-    txt_vec = np.asarray(txt_vec, dtype=np.float64)
-    if img_vec.shape != (p.d_img,):
-        raise ModelError(f"img_vec has shape {img_vec.shape}, expected ({p.d_img},)")
-    if txt_vec.shape != (p.d_joint,):
-        raise ModelError(f"txt_vec has shape {txt_vec.shape}, expected ({p.d_joint},)")
-    projected = np.tanh(img_vec @ p.w_img + p.b_img)
-    fused = np.concatenate([projected, txt_vec])
-    return np.tanh(fused @ p.w_comp + p.b_comp)
+    return text_block(p, pool_tokens(p, toks))
 
 
 def project_image(p: ParamSet, img_vec) -> np.ndarray:
@@ -170,7 +183,16 @@ def project_image(p: ParamSet, img_vec) -> np.ndarray:
     img_vec = np.asarray(img_vec, dtype=np.float64)
     if img_vec.shape != (p.d_img,):
         raise ModelError(f"img_vec has shape {img_vec.shape}, expected ({p.d_img},)")
-    return np.tanh(img_vec @ p.w_img + p.b_img)
+    return image_block(p, img_vec)
+
+
+def compose_query(p: ParamSet, img_vec, txt_vec) -> np.ndarray:
+    """Fuse a projected reference image and a text encoding into the query."""
+    projected = project_image(p, img_vec)
+    txt_vec = np.asarray(txt_vec, dtype=np.float64)
+    if txt_vec.shape != (p.d_joint,):
+        raise ModelError(f"txt_vec has shape {txt_vec.shape}, expected ({p.d_joint},)")
+    return composer_block(p, projected, txt_vec)[1]
 
 
 def decode_step(p: ParamSet, q, prev_token: int) -> np.ndarray:
@@ -187,9 +209,7 @@ def decode_step(p: ParamSet, q, prev_token: int) -> np.ndarray:
             f"prev_token {prev_token} outside [0, {p.vocab_size}] "
             "(vocab plus the BOS index)"
         )
-    z = np.concatenate([q, p.tok_emb[prev_token]])
-    hidden = np.tanh(z @ p.w_hid + p.b_hid)
-    return hidden @ p.w_out + p.b_out
+    return decoder_block(p, q, prev_token)[2]
 
 
 def greedy_decode(p: ParamSet, q, max_len: int) -> list[int]:
@@ -225,7 +245,10 @@ class BatchItem:
 
 @dataclass
 class ForwardTrace:
-    """Cached activations from forward_batch, enough for exact backprop."""
+    """Cached activations from forward_batch, enough for exact backprop.
+
+    Read-only: forward_batch's per-item logit_seqs are views of logits_flat.
+    """
 
     mod_toks: list[list[int]]
     imgs: np.ndarray          # (N, d_img)
@@ -242,7 +265,6 @@ class ForwardTrace:
     a_hid: np.ndarray         # (P, d_hidden) post-tanh decoder hidden
     logits_flat: np.ndarray   # (P, vocab_size)
     targets_flat: np.ndarray  # (P,) supervision token ids (EOS appended)
-    pos_counts: list[int]     # decoder positions per item
 
     @property
     def n_items(self) -> int:
@@ -256,6 +278,8 @@ def forward_batch(p: ParamSet, items: Sequence[BatchItem]):
     target projections (through the same image path, so query and gallery
     spaces are commensurate), teacher-forced logits for every supervision
     position (targets plus a final EOS), and the trace for backprop.
+    logit_seqs are views into trace.logits_flat, not copies: treat them as
+    read-only, since writing to one changes the trace that backward reads.
     """
     items = list(items)
     if not items:
@@ -281,34 +305,27 @@ def forward_batch(p: ParamSet, items: Sequence[BatchItem]):
         _check_tokens(p, item.target_toks, allow_bos=False)
         imgs[j] = img
         target_imgs[j] = tgt
-        x_mean[j] = p.tok_emb[toks].mean(axis=0)
+        x_mean[j] = pool_tokens(p, toks)
         mod_toks.append(toks)
 
-    txt = np.tanh(x_mean @ p.w_txt + p.b_txt)
-    g_img = np.tanh(imgs @ p.w_img + p.b_img)
-    fused = np.concatenate([g_img, txt], axis=1)
-    q_mat = np.tanh(fused @ p.w_comp + p.b_comp)
-    t_mat = np.tanh(target_imgs @ p.w_img + p.b_img)
+    txt = text_block(p, x_mean)
+    g_img = image_block(p, imgs)
+    fused, q_mat = composer_block(p, g_img, txt)
+    t_mat = image_block(p, target_imgs)
 
     # Teacher forcing over target_toks + [EOS]: inputs are BOS then the
     # shifted targets, flattened across the batch for one big matmul.
-    prev_parts, target_parts, item_idx, pos_counts = [], [], [], []
-    for j, item in enumerate(items):
+    prev_toks, target_toks, pos_counts = [], [], []
+    for item in items:
         targets = list(item.target_toks) + [EOS_TOKEN]
-        prev_parts.append([p.bos_token] + targets[:-1])
-        target_parts.append(targets)
-        item_idx.extend([j] * len(targets))
+        prev_toks += [p.bos_token] + targets[:-1]
+        target_toks += targets
         pos_counts.append(len(targets))
-    prev_flat = np.array([t for part in prev_parts for t in part], dtype=np.int64)
-    targets_flat = np.array([t for part in target_parts for t in part], dtype=np.int64)
-    item_index = np.array(item_idx, dtype=np.int64)
-
-    zd = np.concatenate([q_mat[item_index], p.tok_emb[prev_flat]], axis=1)
-    a_hid = np.tanh(zd @ p.w_hid + p.b_hid)
-    logits_flat = a_hid @ p.w_out + p.b_out
-
-    splits = np.cumsum(pos_counts)[:-1].tolist()
-    logit_seqs = [seq.copy() for seq in np.split(logits_flat, splits, axis=0)]
+    prev_flat = np.array(prev_toks, dtype=np.int64)
+    targets_flat = np.array(target_toks, dtype=np.int64)
+    item_index = np.repeat(np.arange(n, dtype=np.int64), pos_counts)
+    zd, a_hid, logits_flat = decoder_block(p, q_mat[item_index], prev_flat)
+    logit_seqs = np.split(logits_flat, np.cumsum(pos_counts)[:-1], axis=0)
 
     trace = ForwardTrace(
         mod_toks=mod_toks,
@@ -326,6 +343,5 @@ def forward_batch(p: ParamSet, items: Sequence[BatchItem]):
         a_hid=a_hid,
         logits_flat=logits_flat,
         targets_flat=targets_flat,
-        pos_counts=pos_counts,
     )
     return q_mat, t_mat, logit_seqs, trace

@@ -18,7 +18,7 @@ annotated triplets with the combined objective.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,9 @@ from .model import (
     ParamSet,
     forward_batch,
     init_params,
+    param_shapes,
+    pool_tokens,
+    text_block,
 )
 from .store import lookup
 
@@ -94,22 +97,14 @@ def default_config(stage: int, seed: int = 0, **overrides) -> TrainConfig:
     return TrainConfig(stage=stage, seed=seed, **merged)
 
 
-@dataclass
-class GradientSet:
-    """One gradient tensor per parameter tensor, plus the temperature slot."""
-
-    tok_emb: np.ndarray
-    w_txt: np.ndarray
-    b_txt: np.ndarray
-    w_img: np.ndarray
-    b_img: np.ndarray
-    w_comp: np.ndarray
-    b_comp: np.ndarray
-    w_hid: np.ndarray
-    b_hid: np.ndarray
-    w_out: np.ndarray
-    b_out: np.ndarray
-    d_temperature: float = 0.0
+GradientSet = make_dataclass(
+    "GradientSet",
+    [(name, np.ndarray) for name in PARAM_FIELDS]
+    + [("d_temperature", float, field(default=0.0))],
+    namespace={"__doc__": "One gradient tensor per parameter tensor "
+                          "(PARAM_FIELDS), plus the temperature slot."},
+)
+GradientSet.__module__ = __name__
 
 
 def _zero_grads(p: ParamSet) -> GradientSet:
@@ -119,6 +114,25 @@ def _zero_grads(p: ParamSet) -> GradientSet:
 # ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------
+
+def _softmax_ce(logits, targets):
+    """Mean softmax cross-entropy over rows, and its gradient.
+
+    Returns (loss, d_logits) with d_logits = (softmax - onehot) / rows. The
+    exponentials are computed once, in place, and normalised by one division
+    by rows * row sum (single normaliser: Milakov & Gimelshein,
+    arXiv:1805.02867).
+    """
+    rows = np.arange(len(targets))
+    probs = logits - logits.max(axis=1, keepdims=True)
+    target_shifted = probs[rows, targets]
+    np.exp(probs, out=probs)
+    sums = probs.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(sums[:, 0]) - target_shifted))
+    probs /= sums * len(targets)
+    probs[rows, targets] -= 1.0 / len(targets)
+    return loss, probs
+
 
 def _info_nce_full(q_mat, t_mat, temperature):
     """InfoNCE loss with gradients for Q, T, and the temperature.
@@ -146,12 +160,8 @@ def _info_nce_full(q_mat, t_mat, temperature):
     t_hat = t_mat / t_norms[:, None]
     sims = q_hat @ t_hat.T                      # (N, N) cosines
     logits = sims / temperature
-    row_max = logits.max(axis=1, keepdims=True)
-    lse = row_max[:, 0] + np.log(np.exp(logits - row_max).sum(axis=1))
-    loss = float(np.mean(lse - np.diag(logits)))
-
-    probs = np.exp(logits - lse[:, None])
-    d_logits = (probs - np.eye(n)) / n
+    # Row j's positive is column j: softmax-CE with targets 0..N-1.
+    loss, d_logits = _softmax_ce(logits, np.arange(n))
     d_sims = d_logits / temperature
     # logits = sims / tau, so dlogits/dtau = -sims / tau^2.
     d_temperature = float(-(d_logits * sims).sum() / temperature ** 2)
@@ -176,7 +186,7 @@ def cross_entropy_seq(logit_seqs, target_seqs):
     Returns (loss, dlogit_seqs) where each gradient block is
     (softmax - onehot) / total_positions, the exact derivative.
     """
-    logit_seqs = list(logit_seqs)
+    logit_seqs = [np.asarray(logits, dtype=np.float64) for logits in logit_seqs]
     target_seqs = [list(t) for t in target_seqs]
     if not logit_seqs:
         raise TrainerError("empty batch")
@@ -184,32 +194,22 @@ def cross_entropy_seq(logit_seqs, target_seqs):
         raise TrainerError(
             f"{len(logit_seqs)} logit sequences for {len(target_seqs)} target sequences"
         )
-    total = 0
+    vocab = logit_seqs[0].shape[-1]
     for j, (logits, targets) in enumerate(zip(logit_seqs, target_seqs)):
         if logits.ndim != 2 or logits.shape[0] != len(targets):
             raise TrainerError(
                 f"item {j}: {logits.shape[0]} logit rows for {len(targets)} targets"
             )
-        total += len(targets)
-    if total == 0:
+        if logits.shape[1] != vocab:
+            raise TrainerError(f"item {j}: {logits.shape[1]} logit columns, expected {vocab}")
+    idx = np.array([t for targets in target_seqs for t in targets], dtype=np.int64)
+    if idx.size == 0:
         raise TrainerError("no supervision positions in batch")
-
-    loss = 0.0
-    d_seqs = []
-    for logits, targets in zip(logit_seqs, target_seqs):
-        logits = np.asarray(logits, dtype=np.float64)
-        vocab = logits.shape[1]
-        idx = np.asarray(targets, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= vocab):
-            raise TrainerError("target token outside vocabulary")
-        row_max = logits.max(axis=1, keepdims=True)
-        lse = row_max[:, 0] + np.log(np.exp(logits - row_max).sum(axis=1))
-        rows = np.arange(len(targets))
-        loss += float((lse - logits[rows, idx]).sum())
-        d = np.exp(logits - lse[:, None])
-        d[rows, idx] -= 1.0
-        d_seqs.append(d / total)
-    return loss / total, d_seqs
+    if idx.min() < 0 or idx.max() >= vocab:
+        raise TrainerError("target token outside vocabulary")
+    loss, d_logits = _softmax_ce(np.concatenate(logit_seqs), idx)
+    splits = np.cumsum([len(targets) for targets in target_seqs])[:-1]
+    return loss, np.split(d_logits, splits)
 
 
 def combined_loss(l_txt, l_info, lambda_txt, lambda_info) -> float:
@@ -227,9 +227,8 @@ def combined_loss(l_txt, l_info, lambda_txt, lambda_info) -> float:
 
 def batch_loss(p: ParamSet, batch, config: TrainConfig):
     """Forward pass plus both losses; returns (combined, l_txt, l_info)."""
-    q_mat, t_mat, logit_seqs, trace = forward_batch(p, batch)
-    target_seqs = [list(item.target_toks) + [EOS_TOKEN] for item in batch]
-    l_txt, _ = cross_entropy_seq(logit_seqs, target_seqs)
+    q_mat, t_mat, _, trace = forward_batch(p, batch)
+    l_txt, _ = _softmax_ce(trace.logits_flat, trace.targets_flat)
     l_info, _, _, _ = _info_nce_full(q_mat, t_mat, p.temperature)
     return combined_loss(l_txt, l_info, config.lambda_txt, config.lambda_info), l_txt, l_info
 
@@ -260,14 +259,8 @@ def _backward_with_losses(p: ParamSet, trace: ForwardTrace, batch,
     d = p.d_joint
 
     # Text path: dCE/dlogits = (softmax - onehot) / total positions.
-    total = trace.targets_flat.size
-    row_max = trace.logits_flat.max(axis=1, keepdims=True)
-    lse = row_max + np.log(np.exp(trace.logits_flat - row_max).sum(axis=1, keepdims=True))
-    rows = np.arange(total)
-    l_txt = float((lse[:, 0] - trace.logits_flat[rows, trace.targets_flat]).sum()) / total
-    d_logits = np.exp(trace.logits_flat - lse)
-    d_logits[rows, trace.targets_flat] -= 1.0
-    d_logits *= config.lambda_txt / total
+    l_txt, d_logits = _softmax_ce(trace.logits_flat, trace.targets_flat)
+    d_logits *= config.lambda_txt
 
     g.w_out += trace.a_hid.T @ d_logits
     g.b_out += d_logits.sum(axis=0)
@@ -302,16 +295,20 @@ def _backward_with_losses(p: ParamSet, trace: ForwardTrace, batch,
     g.w_img += trace.target_imgs.T @ d_ut
     g.b_img += d_ut.sum(axis=0)
 
-    # Text encoder.
-    d_txt = d_fused[:, d:]
-    d_utxt = d_txt * (1.0 - trace.txt ** 2)
-    g.w_txt += trace.x_mean.T @ d_utxt
-    g.b_txt += d_utxt.sum(axis=0)
-    d_x = d_utxt @ p.w_txt.T
-    for j, toks in enumerate(trace.mod_toks):
-        contribution = d_x[j] / len(toks)
-        np.add.at(g.tok_emb, np.asarray(toks, dtype=np.int64), contribution[None, :])
+    _text_encoder_backward(p, g, trace.x_mean, trace.txt, d_fused[:, d:], trace.mod_toks)
     return g, l_txt, l_info
+
+
+def _text_encoder_backward(p: ParamSet, g: GradientSet, x_mean, txt, d_txt,
+                           tok_seqs) -> None:
+    """Accumulate into g the text encoder's gradients (w_txt, b_txt, tok_emb)
+    given d_txt, the loss gradient at its output txt = text_block(p, x_mean)."""
+    d_u = d_txt * (1.0 - txt ** 2)
+    g.w_txt += x_mean.T @ d_u
+    g.b_txt += d_u.sum(axis=0)
+    d_x = d_u @ p.w_txt.T
+    for j, toks in enumerate(tok_seqs):
+        np.add.at(g.tok_emb, np.asarray(toks, dtype=np.int64), (d_x[j] / len(toks))[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +452,22 @@ def _log(loss_log, **entry):
         loss_log.append(entry)
 
 
+def _stage1_gradients(p: ParamSet, batch):
+    """InfoNCE over encoded (premise, positive) token pairs, and its gradient.
+
+    Only the text encoder's tensors get nonzero gradients. Returns
+    (l_info, GradientSet).
+    """
+    tok_seqs = [prem for prem, _ in batch] + [pos for _, pos in batch]
+    x_mean = np.stack([pool_tokens(p, toks) for toks in tok_seqs])
+    enc = text_block(p, x_mean)
+    n = len(batch)
+    l_info, d_prem, d_pos = info_nce(enc[:n], enc[n:], p.temperature)
+    g = _zero_grads(p)
+    _text_encoder_backward(p, g, x_mean, enc, np.concatenate([d_prem, d_pos]), tok_seqs)
+    return l_info, g
+
+
 def train_stage1(world: SynthWorld, config: TrainConfig, *,
                  init: ParamSet | None = None, loss_log: list | None = None) -> ParamSet:
     """Text-only contrastive pretraining on premise/paraphrase pairs.
@@ -484,32 +497,8 @@ def train_stage1(world: SynthWorld, config: TrainConfig, *,
         for step, batch in enumerate(
             batch_iter(token_pairs, config.batch_size, _loop_seed(config.seed, 1, epoch))
         ):
-            x_prem = np.stack([p.tok_emb[toks].mean(axis=0) for toks, _ in batch])
-            x_pos = np.stack([p.tok_emb[toks].mean(axis=0) for _, toks in batch])
-            enc_prem = np.tanh(x_prem @ p.w_txt + p.b_txt)
-            enc_pos = np.tanh(x_pos @ p.w_txt + p.b_txt)
-            l_info, d_prem, d_pos = info_nce(enc_prem, enc_pos, p.temperature)
-
-            d_up = d_prem * (1.0 - enc_prem ** 2)
-            d_uq = d_pos * (1.0 - enc_pos ** 2)
-            g_w = x_prem.T @ d_up + x_pos.T @ d_uq
-            g_b = d_up.sum(axis=0) + d_uq.sum(axis=0)
-            d_xp = d_up @ p.w_txt.T
-            d_xq = d_uq @ p.w_txt.T
-            g_tok = np.zeros_like(p.tok_emb)
-            for j, (prem, pos) in enumerate(batch):
-                np.add.at(g_tok, np.asarray(prem, dtype=np.int64),
-                          (d_xp[j] / len(prem))[None, :])
-                np.add.at(g_tok, np.asarray(pos, dtype=np.int64),
-                          (d_xq[j] / len(pos))[None, :])
-
-            lr = config.learning_rate
-            p = replace(
-                p,
-                tok_emb=p.tok_emb - lr * g_tok,
-                w_txt=p.w_txt - lr * g_w,
-                b_txt=p.b_txt - lr * g_b,
-            )
+            l_info, grads = _stage1_gradients(p, batch)
+            p = sgd_step(p, grads, config.learning_rate)
             _log(loss_log, stage=1, epoch=epoch, step=step,
                  l_txt=0.0, l_info=l_info, combined=l_info)
     return p
@@ -593,21 +582,8 @@ def save_checkpoint(p: ParamSet, path, *, seed: int | None = None) -> None:
     Path(path).write_bytes(bytes(blob))
 
 
-def _expected_shapes(header: dict) -> dict[str, tuple]:
-    v, d_tok = header["vocab_size"], header["d_tok"]
-    d_img, d, h = header["d_img"], header["d_joint"], header["d_hidden"]
-    return {
-        "tok_emb": (v + 1, d_tok),
-        "w_txt": (d_tok, d), "b_txt": (d,),
-        "w_img": (d_img, d), "b_img": (d,),
-        "w_comp": (2 * d, d), "b_comp": (d,),
-        "w_hid": (d + d_tok, h), "b_hid": (h,),
-        "w_out": (h, v), "b_out": (v,),
-    }
-
-
-def load_checkpoint(path) -> ParamSet:
-    """Load and validate a checkpoint written by save_checkpoint."""
+def _read_checkpoint(path) -> tuple[dict, bytes]:
+    """Split a checkpoint file into its parsed JSON header and payload bytes."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -619,18 +595,24 @@ def load_checkpoint(path) -> ParamSet:
         header = json.loads(data[:newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"checkpoint {path} header is malformed: {exc}") from exc
+    return header, data[newline + 1:]
+
+
+def load_checkpoint(path) -> ParamSet:
+    """Load and validate a checkpoint written by save_checkpoint."""
+    header, payload = _read_checkpoint(path)
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint {path} has version {header.get('version')}, "
             f"expected {CHECKPOINT_VERSION}"
         )
     try:
-        shapes = _expected_shapes(header)
+        shapes = param_shapes(header["vocab_size"], header["d_tok"], header["d_img"],
+                              header["d_joint"], header["d_hidden"])
         temperature = float(header["temperature"])
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"checkpoint {path} header incomplete: {exc}") from exc
 
-    payload = data[newline + 1:]
     total = sum(int(np.prod(shape)) for shape in shapes.values())
     if len(payload) != 4 * total:
         raise CheckpointError(
@@ -652,11 +634,7 @@ def load_checkpoint(path) -> ParamSet:
 
 def checkpoint_seed(path) -> int | None:
     """Read back the seed recorded in a checkpoint header."""
-    data = Path(path).read_bytes()
-    newline = data.find(b"\n")
-    if newline < 0:
-        raise CheckpointError(f"checkpoint {path} has no header line")
-    return json.loads(data[:newline].decode("utf-8")).get("seed")
+    return _read_checkpoint(path)[0].get("seed")
 
 
 def write_loss_log(entries, path) -> None:

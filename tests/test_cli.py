@@ -108,6 +108,21 @@ def test_stage2_requires_init_or_from_scratch(world_dir, tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--batch-size", "batch_size must be >= 1, got 0"),
+    ("--learning-rate", "learning_rate must be > 0, got 0.0"),
+])
+def test_train_zero_flag_value_rejected(world_dir, tmp_path, capsys, flag, message):
+    # A zero flag is an explicit value, not "unset": TrainConfig rejects it.
+    ckpt = tmp_path / "s1.ckpt"
+    code = main(["train", "--stage", "1", "--embeddings", world_dir["embeddings"],
+                 "--nli-pairs", world_dir["nli_pairs"], "--checkpoint", str(ckpt),
+                 flag, "0"])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_eval_empty_queries_exits_1(world_dir, tmp_path, capsys):
     (tmp_path / "empty.jsonl").write_text("")
     # Need some checkpoint first

@@ -16,6 +16,9 @@ from cirlite.trainer import (
     GradientSet,
     TrainConfig,
     TrainerError,
+    _backward_with_losses,
+    _infonce_loss_only,
+    _stage1_gradients,
     backward,
     batch_loss,
     central_difference,
@@ -169,6 +172,11 @@ def test_ce_length_mismatch():
         cross_entropy_seq([np.zeros((2, 4))], [[0]])
 
 
+def test_ce_vocab_mismatch():
+    with pytest.raises(TrainerError, match="logit columns"):
+        cross_entropy_seq([np.zeros((1, 4)), np.zeros((1, 5))], [[0], [0]])
+
+
 def test_ce_empty_batch():
     with pytest.raises(TrainerError, match="empty batch"):
         cross_entropy_seq([], [])
@@ -281,6 +289,57 @@ def test_finite_diff_deterministic():
     b = finite_diff_grad(p, batch, config, 1e-4)
     for name in PARAM_FIELDS:
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_backward_losses_equal_batch_loss_bitwise():
+    # One softmax-CE and one InfoNCE serve both the training step and
+    # batch_loss, so the reported losses agree to the last bit.
+    config = TrainConfig(stage=2)
+    for seed in range(4):
+        p = small_params(seed)
+        batch = small_batch(seed, n=4)
+        _, l_txt, l_info = batch_loss(p, batch, config)
+        _, _, _, trace = forward_batch(p, batch)
+        _, bw_txt, bw_info = _backward_with_losses(p, trace, batch, config)
+        assert (bw_txt, bw_info) == (l_txt, l_info)
+
+
+def test_stage1_gradient_check():
+    # Stage 1's text-encoder backprop against central differences of an
+    # independent encoding plus the oracle's InfoNCE; other tensors stay zero.
+    p = small_params(12)
+    rng = np.random.default_rng(12)
+    batch = [
+        tuple([int(t) for t in rng.integers(1, 16, size=int(rng.integers(1, 4)))]
+              for _ in range(2))
+        for _ in range(5)
+    ]
+    _, analytic = _stage1_gradients(p, batch)
+    tensors = {name: getattr(p, name).copy() for name in ("tok_emb", "w_txt", "b_txt")}
+
+    def loss():
+        def encode(seqs):
+            x = np.stack([tensors["tok_emb"][toks].mean(axis=0) for toks in seqs])
+            return np.tanh(x @ tensors["w_txt"] + tensors["b_txt"])
+        return _infonce_loss_only(encode([a for a, _ in batch]),
+                                  encode([b for _, b in batch]), p.temperature)
+
+    numeric = zero_grads_like(p)
+    for name, tensor in tensors.items():
+        flat, out = tensor.ravel(), getattr(numeric, name).ravel()
+        for i in range(flat.size):
+            original = flat[i]
+
+            def loss_at(value):
+                flat[i] = value
+                result = loss()
+                flat[i] = original
+                return result
+
+            out[i] = central_difference(loss_at, original, 1e-4)
+    errors = max_relative_error(analytic, numeric)
+    assert max(errors.values()) < 1e-4, errors
+    assert np.any(analytic.tok_emb != 0.0) and np.any(analytic.w_txt != 0.0)
 
 
 # ---------------------------------------------------------------------------
