@@ -283,30 +283,31 @@ def generate_synthetic_world(
     ids = [f"item{i:04d}" for i in range(n_items)]
     embeddings = EmbeddingMatrix(ids=ids, values=values.astype(np.float32))
 
-    # Hamming distances between attribute vectors, for neighbor sampling.
-    ham = (attrs[:, None, :] != attrs[None, :, :]).sum(axis=2)
-    near = [np.flatnonzero((ham[i] > 0) & (ham[i] <= 2)) for i in range(n_items)]
-
     if n_triplets is None:
         n_triplets = max(n_items, 500)
     triplets = []
     for t in range(n_triplets):
         ref = int(rng.integers(n_items))
-        if near[ref].size:
-            tgt = int(rng.choice(near[ref]))
+        # Hamming distances from one item's attribute vector to every item's,
+        # computed only for the rows a triplet samples.
+        ham_ref = np.bitwise_count(codes ^ codes[ref])
+        near = np.flatnonzero((ham_ref > 0) & (ham_ref <= 2))
+        if near.size:
+            tgt = int(rng.choice(near))
         else:
             tgt = int(rng.choice([j for j in range(n_items) if j != ref]))
+        ham_tgt = np.bitwise_count(codes ^ codes[tgt])
         mod = _modification_text(names, attrs[ref], attrs[tgt])
 
         n_distract = min(subset_size, n_items) - 1
         # Prefer attribute-similar distractors, like the curated subsets of
         # real benchmarks; random jitter breaks ties deterministically.
-        order = np.argsort(ham[tgt] + rng.uniform(0, 0.5, size=n_items))
-        distractors = [int(j) for j in order if j != tgt][:n_distract]
+        order = np.argsort(ham_tgt + rng.uniform(0, 0.5, size=n_items))
+        distractors = [int(j) for j in order[:n_distract + 1] if j != tgt][:n_distract]
         subset = [ids[tgt]] + [ids[j] for j in distractors]
         subset = [subset[k] for k in rng.permutation(len(subset))]
 
-        gt = sorted(ids[j] for j in np.flatnonzero(ham[tgt] <= 1))
+        gt = sorted(ids[j] for j in np.flatnonzero(ham_tgt <= 1))
 
         triplets.append(
             Triplet(

@@ -169,6 +169,20 @@ def decoder_block(p: ParamSet, q: np.ndarray, prev):
     return zd, a_hid, a_hid @ p.w_out + p.b_out
 
 
+def encode_queries(p: ParamSet, ref_imgs: np.ndarray, tok_lists):
+    """Batched query encoder, shared by training and evaluation.
+
+    ref_imgs is (N, d_img) and tok_lists holds N non-empty token lists.
+    Returns (x_mean, txt, g_img, fused, q_mat), the activations backprop
+    needs, with q_mat the (N, d_joint) query embeddings.
+    """
+    x_mean = np.stack([pool_tokens(p, toks) for toks in tok_lists])
+    txt = text_block(p, x_mean)
+    g_img = image_block(p, ref_imgs)
+    fused, q_mat = composer_block(p, g_img, txt)
+    return x_mean, txt, g_img, fused, q_mat
+
+
 def encode_text(p: ParamSet, toks: Sequence[int]) -> np.ndarray:
     """Compress a non-empty token sequence into one joint-space vector."""
     toks = list(toks)
@@ -289,7 +303,6 @@ def forward_batch(p: ParamSet, items: Sequence[BatchItem]):
 
     imgs = np.empty((n, d_img))
     target_imgs = np.empty((n, d_img))
-    x_mean = np.empty((n, p.d_tok))
     mod_toks = []
     for j, item in enumerate(items):
         img = np.asarray(item.img_vec, dtype=np.float64)
@@ -305,12 +318,9 @@ def forward_batch(p: ParamSet, items: Sequence[BatchItem]):
         _check_tokens(p, item.target_toks, allow_bos=False)
         imgs[j] = img
         target_imgs[j] = tgt
-        x_mean[j] = pool_tokens(p, toks)
         mod_toks.append(toks)
 
-    txt = text_block(p, x_mean)
-    g_img = image_block(p, imgs)
-    fused, q_mat = composer_block(p, g_img, txt)
+    x_mean, txt, g_img, fused, q_mat = encode_queries(p, imgs, mod_toks)
     t_mat = image_block(p, target_imgs)
 
     # Teacher forcing over target_toks + [EOS]: inputs are BOS then the

@@ -133,18 +133,19 @@ def lookup(matrix: EmbeddingMatrix, item_id: str) -> np.ndarray:
 
 
 def l2_normalize(v) -> np.ndarray:
-    """Scale a nonzero vector to unit L2 norm (float64 result).
+    """Scale a nonzero vector, or each row of a matrix, to unit L2 norm
+    (float64 result).
 
     Cosine similarity throughout the package is the dot product of vectors
     normalized by this function.
     """
     vec = np.asarray(v, dtype=np.float64)
-    if vec.ndim != 1 or vec.size == 0:
-        raise ZeroVectorError("expected a non-empty 1-d vector")
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0 or not np.isfinite(norm):
+    if vec.ndim not in (1, 2) or vec.shape[-1] == 0:
+        raise ZeroVectorError("expected a non-empty 1-d vector or 2-d row block")
+    norms = np.sqrt(np.vecdot(vec, vec))[..., None]
+    if not np.all(np.isfinite(norms) & (norms > 0)):
         raise ZeroVectorError("cannot normalize a zero or non-finite vector")
-    return vec / norm
+    return vec / norms
 
 
 def _checksum(raw: bytes) -> str:

@@ -595,6 +595,8 @@ def _read_checkpoint(path) -> tuple[dict, bytes]:
         header = json.loads(data[:newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"checkpoint {path} header is malformed: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"checkpoint {path} header is not a JSON object")
     return header, data[newline + 1:]
 
 

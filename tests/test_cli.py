@@ -152,6 +152,16 @@ def test_eval_dim_mismatch_exits_1(world_dir, tmp_path, capsys):
     assert "dimensionality" in capsys.readouterr().err
 
 
+def test_eval_checkpoint_header_not_object_exits_1(world_dir, tmp_path, capsys):
+    (tmp_path / "bad.ckpt").write_bytes(b"[1]\n")
+    code = main(["eval", "--checkpoint", str(tmp_path / "bad.ckpt"),
+                 "--embeddings", world_dir["embeddings"],
+                 "--triplets", world_dir["eval"],
+                 "--report", str(tmp_path / "r.json")])
+    assert code == 1
+    assert "not a JSON object" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Annotation and filtering via CLI
 # ---------------------------------------------------------------------------

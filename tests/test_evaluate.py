@@ -1,5 +1,8 @@
 """Evaluation glue: report assembly, error paths, determinism."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from cirlite.data import Triplet, generate_synthetic_world
@@ -76,3 +79,21 @@ def test_evaluation_deterministic(world, params):
     a = evaluate_queries(params, world.embeddings, world.triplets)
     b = evaluate_queries(params, world.embeddings, world.triplets)
     assert a.to_json() == b.to_json()
+
+
+def test_benchmark_tracer_wrap_points_resolve(world, params):
+    # The benchmark's traced mode wraps program functions by name: each name
+    # must resolve, and evaluation must score the gallery once per block.
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    originals = [getattr(owner, attr) for owner, attr, *_ in tracing.WRAP_POINTS]
+    tracer = tracing.Tracer(0.0)
+    tracer.install()
+    try:
+        evaluate_queries(params, world.embeddings, world.triplets)
+    finally:
+        tracer.uninstall()
+    assert [getattr(owner, attr) for owner, attr, *_ in tracing.WRAP_POINTS] == originals
+    assert tracer.counts[("retrieval.gallery_scoring", "setup")] == 1

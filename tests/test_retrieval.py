@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from cirlite import retrieval
 from cirlite.retrieval import (
     RetrievalError,
     build_index,
     build_index_from_vectors,
     rank_of,
+    search_queries,
     search_topk,
     search_topk_batch,
     subset_rank,
@@ -37,6 +39,14 @@ def random_gallery(rng, count, dims, tie_prone=False):
         vectors = rng.standard_normal((count, dims))
     ids = [f"g{i:04d}" for i in range(count)]
     return build_index_from_vectors(ids, vectors)
+
+
+def basis_gallery(rng, count, dims):
+    """Gallery of repeated basis vectors, for integer queries: every score is
+    one query entry over the query norm, exact in any summation order, so
+    one-row and block products agree bit for bit and ties are exact."""
+    vectors = np.eye(dims)[rng.integers(dims, size=count)]
+    return build_index_from_vectors([f"g{i:04d}" for i in rng.permutation(count)], vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +132,8 @@ def test_topk_k_bounds():
         search_topk(index, np.ones(3), 0)
     with pytest.raises(RetrievalError):
         search_topk(index, np.ones(3), 11)
+    with pytest.raises(RetrievalError):
+        search_topk(build_index_from_vectors([], np.empty((0, 3))), np.ones(3), 1)
 
 
 def test_topk_zero_query_rejected():
@@ -129,6 +141,12 @@ def test_topk_zero_query_rejected():
     index = random_gallery(rng, 10, 3)
     with pytest.raises(ZeroVectorError):
         search_topk(index, np.zeros(3), 3)
+    q_mat = rng.standard_normal((4, 3))
+    q_mat[2] = 0.0
+    with pytest.raises(ZeroVectorError):
+        search_topk_batch(index, q_mat, 3)
+    with pytest.raises(ZeroVectorError):
+        search_queries(index, q_mat, ["g0000"] * 4, [None] * 4, 3)
 
 
 def test_scaling_query_preserves_order_exactly():
@@ -148,6 +166,44 @@ def test_batch_search_position_aligned():
     results = search_topk_batch(index, q_mat, 5)
     for j in range(3):
         assert results[j].ids == search_topk(index, q_mat[j], 5).ids
+
+
+def test_batch_agrees_with_single_and_oracle_on_ties(monkeypatch):
+    rng = np.random.default_rng(18)
+    straddles = 0
+    for trial in range(40):
+        count, dims, n_q = int(rng.integers(3, 60)), int(rng.integers(2, 6)), 7
+        index = basis_gallery(rng, count, dims)
+        q_mat = rng.integers(-3, 4, size=(n_q, dims)).astype(np.float64)
+        q_mat[np.all(q_mat == 0, axis=1), 0] = 1.0
+        q_mat[2] = q_mat[1]  # one query on both sides of a block boundary
+        # Blocks of two query rows: 7 queries give blocks 2, 2, 2, 1.
+        monkeypatch.setattr(retrieval, "SCORE_BLOCK_BYTES", 2 * 8 * count)
+        k = int(rng.integers(1, count + 1))
+        targets = [f"g{int(i):04d}" for i in rng.integers(count, size=n_q)]
+        subsets = []
+        for j, target in enumerate(targets):
+            others = [f"g{int(i):04d}" for i in rng.choice(count, size=int(rng.integers(0, 4)))]
+            subsets.append(None if j % 3 == 0 else [*others, target])
+        ranks, subset_ranks, ranked = search_queries(index, q_mat, targets, subsets, k)
+        assert [r.ids for r in ranked] == [r.ids for r in search_topk_batch(index, q_mat, k)]
+        expected_subset_ranks = []
+        for j, q in enumerate(q_mat):
+            oracle = sorted_oracle(index, q)
+            straddles += k < count and oracle[k - 1][0] == oracle[k][0]
+            for got in (ranked[j], search_topk(index, q, k)):
+                assert got.ids == [item_id for _, item_id in oracle[:k]]
+                assert got.scores == [score for score, _ in oracle[:k]]
+            order = [item_id for _, item_id in oracle]
+            assert ranks[j] == rank_of(index, q, targets[j]) == 1 + order.index(targets[j])
+            if subsets[j]:
+                # Duplicate subset members count once per occurrence.
+                restricted = [i for i in order for _ in range(subsets[j].count(i))]
+                expected = 1 + restricted.index(targets[j])
+                assert subset_rank(index, q, subsets[j], targets[j]) == expected
+                expected_subset_ranks.append(expected)
+        assert subset_ranks == expected_subset_ranks
+    assert straddles > 0
 
 
 def test_ranked_results_jsonl_export(tmp_path):
@@ -172,6 +228,9 @@ def test_ranked_results_alignment_validated(tmp_path):
 
     with pytest.raises(RetrievalError):
         write_ranked_results(["a", "b"], [], tmp_path / "x.jsonl")
+    index = random_gallery(np.random.default_rng(19), 5, 3)
+    with pytest.raises(RetrievalError, match="2 queries for 1 targets"):
+        search_queries(index, np.ones((2, 3)), ["g0000"], [None], 3)
 
 
 # ---------------------------------------------------------------------------

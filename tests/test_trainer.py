@@ -604,6 +604,14 @@ def test_checkpoint_missing_file():
         load_checkpoint("/nonexistent/x.ckpt")
 
 
+def test_checkpoint_header_not_object(tmp_path):
+    path = tmp_path / "p.ckpt"
+    path.write_bytes(b"[1]\n")
+    for read in (load_checkpoint, checkpoint_seed):
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            read(path)
+
+
 def test_batch_loss_components(tmp_path):
     p = small_params(14)
     batch = small_batch(14)
