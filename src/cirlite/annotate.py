@@ -293,7 +293,18 @@ class RemoteJudge:
         return int(reply["score"])
 
 
+# Request Timeout and Too Many Requests: the request was fine, the server
+# was slow or busy.
+_RETRIED_4XX = (408, 429)
+
+
 def _post_json(endpoint: str, payload: dict, timeout: float, retries: int) -> dict:
+    """POST payload as JSON and parse the JSON reply.
+
+    Connection errors, HTTP 5xx, 408, 429 and unparseable replies are
+    retried up to `retries` times; any other HTTP 4xx means the request
+    itself is wrong, so it fails at once. Every failure raises EndpointError.
+    """
     body = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(
         endpoint, data=body, headers={"Content-Type": "application/json"}
@@ -303,6 +314,12 @@ def _post_json(endpoint: str, payload: dict, timeout: float, retries: int) -> di
         try:
             with urllib.request.urlopen(request, timeout=timeout) as response:
                 return json.loads(response.read().decode("utf-8"))
+        except urllib.error.HTTPError as exc:
+            if 400 <= exc.code < 500 and exc.code not in _RETRIED_4XX:
+                raise EndpointError(
+                    f"endpoint {endpoint} rejected the request: HTTP {exc.code} {exc.reason}"
+                ) from exc
+            last_error = exc
         except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
             last_error = exc
     raise EndpointError(f"endpoint {endpoint} failed: {last_error}") from last_error

@@ -25,7 +25,7 @@ from .errors import CirliteError
 from .evaluate import evaluate_queries
 from .metrics import EvalReport, display_round
 from .model import init_params
-from .store import load_embeddings
+from .store import load_embeddings, write_atomic
 
 
 @dataclass
@@ -258,7 +258,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         k_list=cfg.k_list, subset_k_list=cfg.subset_k_list,
         map_k_list=cfg.map_k_list, ranked_out=cfg.ranked_out,
     )
-    Path(cfg.report).write_text(report.to_json(), encoding="utf-8")
+    write_atomic(cfg.report, report.to_json().encode("utf-8"))
     r1 = report.recall.get(1)
     print(
         f"eval ok: queries={report.query_count} "

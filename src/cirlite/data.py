@@ -301,9 +301,12 @@ def generate_synthetic_world(
 
         n_distract = min(subset_size, n_items) - 1
         # Prefer attribute-similar distractors, like the curated subsets of
-        # real benchmarks; random jitter breaks ties deterministically.
-        order = np.argsort(ham_tgt + rng.uniform(0, 0.5, size=n_items))
-        distractors = [int(j) for j in order[:n_distract + 1] if j != tgt][:n_distract]
+        # real benchmarks; random jitter breaks ties deterministically. Only
+        # the n_distract + 1 smallest keys are needed, in key order.
+        keys = ham_tgt + rng.uniform(0, 0.5, size=n_items)
+        order = np.argpartition(keys, n_distract)[:n_distract + 1]
+        order = order[np.argsort(keys[order])]
+        distractors = [int(j) for j in order if j != tgt][:n_distract]
         subset = [ids[tgt]] + [ids[j] for j in distractors]
         subset = [subset[k] for k in rng.permutation(len(subset))]
 

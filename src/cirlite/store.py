@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import secrets
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -150,6 +153,27 @@ def l2_normalize(v) -> np.ndarray:
 
 def _checksum(raw: bytes) -> str:
     return "sha256:" + hashlib.sha256(raw).hexdigest()
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write data to path so that path holds either its previous contents or
+    all of data, never a part: the bytes go to a temp file in the same
+    directory, are flushed to disk, then os.replace moves them into place.
+    A symlink at path is followed, and an existing file keeps its
+    permissions. On failure the temp file is removed and the error
+    propagates."""
+    path = Path(path).resolve()
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        if path.exists():
+            os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save_embeddings(matrix: EmbeddingMatrix, out_dir) -> Manifest:

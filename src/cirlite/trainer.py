@@ -36,7 +36,7 @@ from .model import (
     pool_tokens,
     text_block,
 )
-from .store import lookup
+from .store import lookup, write_atomic
 
 CHECKPOINT_VERSION = 1
 
@@ -315,20 +315,42 @@ def _text_encoder_backward(p: ParamSet, g: GradientSet, x_mean, txt, d_txt,
 # Finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def central_difference(fn, x: float, epsilon: float) -> float:
-    """(f(x+e) - f(x-e)) / (2e), the oracle for every analytic gradient."""
+# finite_diff_grad evaluates blocks of perturbed parameter copies; a block
+# holds as many copies as fit in this many bytes of each copy's largest
+# float64 array (the perturbed tensor or the (positions, vocab) logits),
+# and at least one.
+FD_BLOCK_BYTES = 512 * 1024
+
+
+def central_difference(fn, x, epsilon: float):
+    """(f(x+e) - f(x-e)) / (2e), the oracle for every analytic gradient.
+
+    Works elementwise: x may be an array of points, with fn returning one
+    value per point.
+    """
     if epsilon <= 0:
         raise TrainerError(f"epsilon must be > 0, got {epsilon}")
     return (fn(x + epsilon) - fn(x - epsilon)) / (2.0 * epsilon)
 
 
-def _infonce_loss_only(q_mat, t_mat, temperature) -> float:
-    q_norms = np.linalg.norm(q_mat, axis=1)
-    t_norms = np.linalg.norm(t_mat, axis=1)
-    logits = (q_mat / q_norms[:, None]) @ (t_mat / t_norms[:, None]).T / temperature
-    row_max = logits.max(axis=1, keepdims=True)
-    lse = row_max[:, 0] + np.log(np.exp(logits - row_max).sum(axis=1))
-    return float(np.mean(lse - np.diag(logits)))
+def _infonce_loss_only(q_mat, t_mat, temperature):
+    """InfoNCE loss of (..., N, d) queries and targets, one per leading index."""
+    q_norms = np.linalg.norm(q_mat, axis=-1)
+    t_norms = np.linalg.norm(t_mat, axis=-1)
+    t_hat = t_mat / t_norms[..., None]
+    logits = (q_mat / q_norms[..., None]) @ np.swapaxes(t_hat, -1, -2) / temperature
+    row_max = logits.max(axis=-1, keepdims=True)
+    lse = row_max[..., 0] + np.log(np.exp(logits - row_max).sum(axis=-1))
+    return np.mean(lse - np.diagonal(logits, axis1=-2, axis2=-1), axis=-1)
+
+
+def _concat_last(arrays):
+    """Concatenate on the last axis after broadcasting the leading axes, so
+    activations of a block of perturbed copies meet unperturbed ones."""
+    lead = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
+    return np.concatenate(
+        [np.broadcast_to(a, lead + a.shape[-1:]) for a in arrays], axis=-1
+    )
 
 
 def _make_loss_fn(p: ParamSet, batch, config: TrainConfig):
@@ -336,7 +358,9 @@ def _make_loss_fn(p: ParamSet, batch, config: TrainConfig):
 
     Deliberately does not reuse forward_batch or the trace so the oracle
     stays an independent route to the same number. Index structure is
-    precomputed once; only parameter values vary.
+    precomputed once; only parameter values vary. A tensor may be a block
+    of B copies stacked as (B, *shape): every activation computed from it
+    then carries that leading axis, and the loss is one value per copy.
     """
     batch = list(batch)
     mod_toks = [np.asarray(list(item.mod_toks), dtype=np.int64) for item in batch]
@@ -358,57 +382,78 @@ def _make_loss_fn(p: ParamSet, batch, config: TrainConfig):
     rows = np.arange(total)
     lam_txt, lam_info = config.lambda_txt, config.lambda_info
 
-    def loss(tensors: dict[str, np.ndarray], temperature: float) -> float:
+    def loss(tensors: dict[str, np.ndarray], temperature: float):
+        # Biases get a row axis, so a stacked (B, d) bias meets (..., rows, d).
+        def affine(x, name):
+            return x @ tensors[f"w_{name}"] + tensors[f"b_{name}"][..., None, :]
+
         emb = tensors["tok_emb"]
-        x_mean = np.stack([emb[toks].mean(axis=0) for toks in mod_toks])
-        txt = np.tanh(x_mean @ tensors["w_txt"] + tensors["b_txt"])
-        g_img = np.tanh(imgs @ tensors["w_img"] + tensors["b_img"])
-        q = np.tanh(
-            np.concatenate([g_img, txt], axis=1) @ tensors["w_comp"]
-            + tensors["b_comp"]
+        x_mean = np.stack(
+            [np.take(emb, toks, axis=-2).mean(axis=-2) for toks in mod_toks], axis=-2
         )
-        t = np.tanh(target_imgs @ tensors["w_img"] + tensors["b_img"])
-        zd = np.concatenate([q[item_index], emb[prev_flat]], axis=1)
-        hidden = np.tanh(zd @ tensors["w_hid"] + tensors["b_hid"])
-        logits = hidden @ tensors["w_out"] + tensors["b_out"]
-        row_max = logits.max(axis=1, keepdims=True)
-        lse = row_max[:, 0] + np.log(np.exp(logits - row_max).sum(axis=1))
-        l_txt = float((lse - logits[rows, targets_flat]).sum()) / total
+        txt = np.tanh(affine(x_mean, "txt"))
+        g_img = np.tanh(affine(imgs, "img"))
+        q = np.tanh(affine(_concat_last([g_img, txt]), "comp"))
+        t = np.tanh(affine(target_imgs, "img"))
+        zd = _concat_last([np.take(q, item_index, axis=-2),
+                           np.take(emb, prev_flat, axis=-2)])
+        logits = affine(np.tanh(affine(zd, "hid")), "out")
+        row_max = logits.max(axis=-1, keepdims=True)
+        lse = row_max[..., 0] + np.log(np.exp(logits - row_max).sum(axis=-1))
+        l_txt = (lse - logits[..., rows, targets_flat]).sum(axis=-1) / total
         l_info = _infonce_loss_only(q, t, temperature)
         return lam_txt * l_txt + lam_info * l_info
 
     return loss
 
 
+def _fd_block_sizes(p: ParamSet, positions: int) -> dict[str, int]:
+    """Perturbed copies per loss evaluation for each tensor, so that a block
+    of the copies' largest array fits in FD_BLOCK_BYTES (at least one)."""
+    logits = positions * p.vocab_size
+    return {
+        name: max(1, FD_BLOCK_BYTES // (8 * max(getattr(p, name).size, logits)))
+        for name in PARAM_FIELDS
+    }
+
+
 def finite_diff_grad(p: ParamSet, batch, config: TrainConfig,
                      epsilon: float = 1e-4) -> GradientSet:
-    """Central-difference gradient of the combined loss, one scalar at a time.
+    """Central-difference gradient of the combined loss, a block at a time.
 
     Independent of backward(): evaluates the loss from raw tensors for every
-    perturbed parameter, including the temperature.
+    entry of every tensor, each moved to original +- epsilon. The copies of
+    one tensor, one per entry in a block, are stacked on a leading axis and
+    evaluated in one loss call (block sizes from FD_BLOCK_BYTES); each copy
+    goes through the same arithmetic as a lone perturbed tensor, so the
+    result is bitwise that of perturbing one entry per call. The
+    temperature has its own central difference.
     """
     if epsilon <= 0:
         raise TrainerError(f"epsilon must be > 0, got {epsilon}")
+    batch = list(batch)
     loss_fn = _make_loss_fn(p, batch, config)
-    tensors = {name: getattr(p, name).copy() for name in PARAM_FIELDS}
+    tensors = {name: getattr(p, name) for name in PARAM_FIELDS}
+    positions = sum(len(item.target_toks) + 1 for item in batch)
     grads = _zero_grads(p)
-    for name in PARAM_FIELDS:
-        flat = tensors[name].ravel()
+    for name, block in _fd_block_sizes(p, positions).items():
+        tensor = tensors[name]
+        flat = tensor.ravel()
         out_flat = getattr(grads, name).ravel()
-        for i in range(flat.size):
-            original = flat[i]
+        for start in range(0, flat.size, block):
+            entries = np.arange(start, min(start + block, flat.size))
 
-            def loss_at(value):
-                flat[i] = value
-                result = loss_fn(tensors, p.temperature)
-                flat[i] = original
-                return result
+            def loss_at_block(values):
+                copies = np.repeat(flat[None, :], entries.size, axis=0)
+                copies[np.arange(entries.size), entries] = values
+                stacked = copies.reshape((entries.size,) + tensor.shape)
+                return loss_fn({**tensors, name: stacked}, p.temperature)
 
-            out_flat[i] = central_difference(loss_at, original, epsilon)
+            out_flat[entries] = central_difference(loss_at_block, flat[entries], epsilon)
 
-    grads.d_temperature = central_difference(
+    grads.d_temperature = float(central_difference(
         lambda tau: loss_fn(tensors, tau), p.temperature, epsilon
-    )
+    ))
     return grads
 
 
@@ -564,7 +609,8 @@ def train_stage2(world: SynthWorld, annotations, init: ParamSet,
 
 def save_checkpoint(p: ParamSet, path, *, seed: int | None = None) -> None:
     """Write a checkpoint: one JSON header line, then float32 LE blocks in
-    PARAM_FIELDS order. Deterministic bytes for identical parameters."""
+    PARAM_FIELDS order. Deterministic bytes for identical parameters; the
+    file is replaced atomically, so a failed write leaves any earlier one."""
     header = {
         "version": CHECKPOINT_VERSION,
         "vocab_size": p.vocab_size,
@@ -579,7 +625,7 @@ def save_checkpoint(p: ParamSet, path, *, seed: int | None = None) -> None:
     blob += b"\n"
     for name in PARAM_FIELDS:
         blob += np.ascontiguousarray(getattr(p, name), dtype="<f4").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    write_atomic(path, bytes(blob))
 
 
 def _read_checkpoint(path) -> tuple[dict, bytes]:

@@ -312,8 +312,13 @@ def test_pipeline_pure_function_of_inputs():
 # ---------------------------------------------------------------------------
 
 class _StubHandler(BaseHTTPRequestHandler):
+    # POST to /status/<code> answers with that HTTP error status.
     def do_POST(self):
+        self.server.requests += 1
         payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        if self.path.startswith("/status/"):
+            self.send_error(int(self.path.rsplit("/", 1)[1]))
+            return
         if "prompt" in payload:
             reply = {"text": "[CAPTION]\nc\n[REASONING]\n1. s\n[CONCLUSION]\nd"}
         else:
@@ -330,12 +335,20 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture()
-def stub_server():
+def stub():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
+    server.requests = 0
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/"
+    yield server
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+@pytest.fixture()
+def stub_server(stub):
+    return f"http://127.0.0.1:{stub.server_port}/"
 
 
 def test_remote_generator_wire_format(stub_server):
@@ -353,3 +366,19 @@ def test_remote_endpoint_failure():
     client = RemoteGenerator("http://127.0.0.1:9/", timeout=0.2, retries=1)
     with pytest.raises(EndpointError, match="failed"):
         client.generate("prompt")
+
+
+@pytest.mark.parametrize("status", [400, 404, 422])
+def test_remote_client_4xx_fails_without_retry(stub, stub_server, status):
+    judge = RemoteJudge(f"{stub_server}status/{status}", timeout=5.0, retries=2)
+    with pytest.raises(EndpointError, match=f"HTTP {status}"):
+        judge.score("red item", "target")
+    assert stub.requests == 1
+
+
+@pytest.mark.parametrize("status", [503, 408, 429])
+def test_remote_client_retryable_status_is_retried(stub, stub_server, status):
+    client = RemoteGenerator(f"{stub_server}status/{status}", timeout=5.0, retries=2)
+    with pytest.raises(EndpointError, match=f"failed: HTTP Error {status}"):
+        client.generate("prompt")
+    assert stub.requests == 3

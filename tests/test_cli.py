@@ -162,6 +162,34 @@ def test_eval_checkpoint_header_not_object_exits_1(world_dir, tmp_path, capsys):
     assert "not a JSON object" in capsys.readouterr().err
 
 
+def test_eval_failed_report_write_keeps_previous_report(world_dir, tmp_path, monkeypatch,
+                                                       capsys):
+    from cirlite.model import init_params
+    from cirlite.trainer import save_checkpoint
+
+    for seed in (0, 1):
+        save_checkpoint(init_params(seed, vocab_size=512, d_img=16),
+                        tmp_path / f"p{seed}.ckpt")
+
+    def run_eval(seed):
+        return main(["eval", "--checkpoint", str(tmp_path / f"p{seed}.ckpt"),
+                     "--embeddings", world_dir["embeddings"],
+                     "--triplets", world_dir["eval"],
+                     "--report", str(tmp_path / "r.json")])
+
+    assert run_eval(0) == 0
+    before = (tmp_path / "r.json").read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", failing_replace)
+    assert run_eval(1) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert (tmp_path / "r.json").read_bytes() == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["p0.ckpt", "p1.ckpt", "r.json"]
+
+
 # ---------------------------------------------------------------------------
 # Annotation and filtering via CLI
 # ---------------------------------------------------------------------------

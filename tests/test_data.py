@@ -212,6 +212,17 @@ def test_world_bytes_match_golden_hash(args, digest):
     assert world_digest(generate_synthetic_world(*args)) == digest
 
 
+def test_world_subsets_covering_the_gallery_match_golden_hash():
+    # subset_size >= n_items: every subset is the whole gallery, and the
+    # distractor pick partitions at the last index, keeping every item.
+    world = generate_synthetic_world(4, 12, 4, subset_size=20)
+    assert world_digest(world) == (
+        "bf47758b6b2f1658d81a78a3f5dd758360faedd1b6c82acbe66d1ccc531b58e0"
+    )
+    for t in world.triplets:
+        assert sorted(t.subset_ids) == sorted(world.embeddings.ids)
+
+
 def test_world_counts():
     world = generate_synthetic_world(0, 50, 8)
     assert world.embeddings.count == 50

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cirlite.store import (
     load_embeddings,
     lookup,
     save_embeddings,
+    write_atomic,
 )
 
 
@@ -226,3 +228,26 @@ def test_lookup_survives_roundtrip(tmp_path):
     save_embeddings(matrix, tmp_path)
     loaded = load_embeddings(tmp_path / "manifest.json")
     np.testing.assert_array_equal(lookup(loaded, "item003"), lookup(matrix, "item003"))
+
+
+# ---------------------------------------------------------------------------
+# write_atomic
+# ---------------------------------------------------------------------------
+
+def test_write_atomic_follows_symlink_and_keeps_mode(tmp_path):
+    real = tmp_path / "real.json"
+    real.write_bytes(b"old")
+    os.chmod(real, 0o640)
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    write_atomic(link, b"new")
+    assert link.is_symlink()
+    assert real.read_bytes() == b"new"
+    assert real.stat().st_mode & 0o777 == 0o640
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+
+def test_write_atomic_creates_missing_file(tmp_path):
+    write_atomic(tmp_path / "out.bin", b"\x00\x01")
+    assert (tmp_path / "out.bin").read_bytes() == b"\x00\x01"
+    assert [f.name for f in tmp_path.iterdir()] == ["out.bin"]

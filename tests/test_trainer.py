@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import cirlite.trainer as trainer_mod
 from cirlite.data import EOS_TOKEN, generate_synthetic_world
 from cirlite.annotate import MockGenerator, MockJudge, annotate_triplets, filter_annotations
 from cirlite.model import PARAM_FIELDS, BatchItem, forward_batch, init_params
@@ -17,7 +18,9 @@ from cirlite.trainer import (
     TrainConfig,
     TrainerError,
     _backward_with_losses,
+    _fd_block_sizes,
     _infonce_loss_only,
+    _make_loss_fn,
     _stage1_gradients,
     backward,
     batch_loss,
@@ -291,6 +294,80 @@ def test_finite_diff_deterministic():
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
+def entrywise_finite_diff(p, batch, config, epsilon):
+    """The oracle one entry per loss call: each entry of an unstacked tensor
+    copy is moved to original +- epsilon in turn."""
+    loss_fn = _make_loss_fn(p, batch, config)
+    tensors = {name: getattr(p, name) for name in PARAM_FIELDS}
+    numeric = zero_grads_like(p)
+    for name in PARAM_FIELDS:
+        work = tensors[name].copy()
+        flat, out = work.ravel(), getattr(numeric, name).ravel()
+        for i in range(flat.size):
+            original = flat[i]
+
+            def loss_at(value):
+                flat[i] = value
+                result = loss_fn({**tensors, name: work}, p.temperature)
+                flat[i] = original
+                return result
+
+            out[i] = central_difference(loss_at, original, epsilon)
+    numeric.d_temperature = central_difference(
+        lambda tau: loss_fn(tensors, tau), p.temperature, epsilon)
+    return numeric
+
+
+@pytest.mark.parametrize("copies", [1, 2, 7, None])
+def test_blocked_finite_diff_equals_entrywise_bitwise(monkeypatch, copies):
+    # Stacking perturbed copies on a leading axis must not change a bit of
+    # the oracle. Every SMALL tensor is smaller than the (9, 16) logits, so
+    # a cap of 8 * 9 * 16 * copies bytes gives blocks of `copies` entries:
+    # 1 everywhere, 2 and 7 leave short last blocks (a block of 1 included),
+    # None keeps the default cap (one block per tensor).
+    p, batch = small_params(3), small_batch(3)
+    config = TrainConfig(stage=2, lambda_txt=1.0, lambda_info=0.5)
+    if copies is not None:
+        monkeypatch.setattr(trainer_mod, "FD_BLOCK_BYTES", 8 * 9 * 16 * copies)
+    blocks = _fd_block_sizes(p, positions=9)
+    sizes = {name: getattr(p, name).size for name in PARAM_FIELDS}
+    if copies is not None:
+        assert set(blocks.values()) == {copies}
+    else:
+        assert all(blocks[name] >= sizes[name] for name in PARAM_FIELDS)
+    calls = []
+    counted = trainer_mod.central_difference
+
+    def counting(fn, x, epsilon):
+        calls.append(np.size(x))
+        return counted(fn, x, epsilon)
+
+    monkeypatch.setattr(trainer_mod, "central_difference", counting)
+    blocked = finite_diff_grad(p, batch, config, 1e-4)
+    expected_calls = 1 + sum(-(-sizes[name] // blocks[name]) for name in PARAM_FIELDS)
+    assert len(calls) == expected_calls and sum(calls) == 1 + sum(sizes.values())
+    if copies == 2:
+        assert calls.count(1) > 1  # odd-sized tensors end in a block of 1
+    reference = entrywise_finite_diff(p, batch, config, 1e-4)
+    for name in PARAM_FIELDS:
+        np.testing.assert_array_equal(getattr(blocked, name), getattr(reference, name))
+    assert blocked.d_temperature == reference.d_temperature
+
+
+def test_finite_diff_block_respects_byte_cap():
+    # At the full vocabulary a single copy can exceed the cap; a block then
+    # holds one copy. Otherwise it holds as many copies as fit, no more.
+    p = init_params(0, vocab_size=4096)
+    for positions in (1, 4, 20):
+        for name, block in _fd_block_sizes(p, positions).items():
+            per_copy = 8 * max(getattr(p, name).size, positions * 4096)
+            assert block >= 1
+            assert block == 1 or block * per_copy <= trainer_mod.FD_BLOCK_BYTES
+            assert (block + 1) * per_copy > trainer_mod.FD_BLOCK_BYTES
+    assert _fd_block_sizes(p, 1)["tok_emb"] == 1
+    assert _fd_block_sizes(p, 1)["b_txt"] > 1
+
+
 def test_backward_losses_equal_batch_loss_bitwise():
     # One softmax-CE and one InfoNCE serve both the training step and
     # batch_loss, so the reported losses agree to the last bit.
@@ -560,6 +637,25 @@ def test_checkpoint_values_are_f32_cast(tmp_path):
             getattr(p, name).astype("<f4").astype(np.float64),
         )
     assert loaded.temperature == p.temperature
+
+
+def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(small_params(0), path, seed=1)
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(small_params(1), path, seed=2)
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["p.ckpt"]
+    monkeypatch.undo()
+    save_checkpoint(small_params(1), path, seed=2)
+    assert load_checkpoint(path).w_txt.shape == small_params(1).w_txt.shape
+    assert checkpoint_seed(path) == 2
 
 
 def test_checkpoint_seed_recorded(tmp_path):
