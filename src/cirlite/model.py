@@ -13,8 +13,8 @@ reserved for EOS; row vocab_size is the BOS embedding (input only).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -166,7 +166,11 @@ def decoder_block(p: ParamSet, q: np.ndarray, prev):
     """Decoder on (query, previous token); returns (input, hidden, logits)."""
     zd = np.concatenate([q, p.tok_emb[prev]], axis=-1)
     a_hid = np.tanh(zd @ p.w_hid + p.b_hid)
-    return zd, a_hid, a_hid @ p.w_out + p.b_out
+    # Bias added in place: `a_hid @ w_out + b_out` would allocate a second
+    # rows x vocab array.
+    logits = a_hid @ p.w_out
+    logits += p.b_out
+    return zd, a_hid, logits
 
 
 def encode_queries(p: ParamSet, ref_imgs: np.ndarray, tok_lists):
@@ -261,7 +265,10 @@ class BatchItem:
 class ForwardTrace:
     """Cached activations from forward_batch, enough for exact backprop.
 
-    Read-only: forward_batch's per-item logit_seqs are views of logits_flat.
+    The decoder's input is (query of the position's item, previous token),
+    so its activations depend on that pair only. They are computed once per
+    distinct pair, a row, and each of the P teacher-forced positions points
+    at its row. Read-only: backward reads it and does not write to it.
     """
 
     mod_toks: list[list[int]]
@@ -273,16 +280,36 @@ class ForwardTrace:
     fused: np.ndarray         # (N, 2 d_joint) composer inputs
     q_mat: np.ndarray         # (N, d_joint) query embeddings
     t_mat: np.ndarray         # (N, d_joint) target projections
-    prev_flat: np.ndarray     # (P,) decoder input token ids
-    item_index: np.ndarray    # (P,) position -> batch item
-    zd: np.ndarray            # (P, d_joint + d_tok) decoder inputs
-    a_hid: np.ndarray         # (P, d_hidden) post-tanh decoder hidden
-    logits_flat: np.ndarray   # (P, vocab_size)
+    row_item: np.ndarray      # (R,) decoder row -> batch item
+    row_prev: np.ndarray      # (R,) decoder row -> input token id
+    row_counts: np.ndarray    # (R,) positions per decoder row (sum P)
+    row_of_pos: np.ndarray    # (P,) position -> decoder row
+    zd: np.ndarray            # (R, d_joint + d_tok) decoder inputs
+    a_hid: np.ndarray         # (R, d_hidden) post-tanh decoder hidden
+    logits: np.ndarray        # (R, vocab_size)
     targets_flat: np.ndarray  # (P,) supervision token ids (EOS appended)
 
     @property
     def n_items(self) -> int:
         return len(self.mod_toks)
+
+
+class _LogitSeqs(Sequence):
+    """Per-item teacher-forced logits, gathered from the decoder rows only
+    when an item is indexed (a gather of every position costs a P x vocab
+    copy that training does not need)."""
+
+    def __init__(self, logits: np.ndarray, row_of_pos: np.ndarray, bounds: np.ndarray):
+        self._logits = logits
+        self._row_of_pos = row_of_pos
+        self._bounds = bounds
+
+    def __len__(self) -> int:
+        return len(self._bounds) - 1
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        j = range(len(self))[j]
+        return self._logits[self._row_of_pos[self._bounds[j]:self._bounds[j + 1]]]
 
 
 def forward_batch(p: ParamSet, items: Sequence[BatchItem]):
@@ -292,8 +319,9 @@ def forward_batch(p: ParamSet, items: Sequence[BatchItem]):
     target projections (through the same image path, so query and gallery
     spaces are commensurate), teacher-forced logits for every supervision
     position (targets plus a final EOS), and the trace for backprop.
-    logit_seqs are views into trace.logits_flat, not copies: treat them as
-    read-only, since writing to one changes the trace that backward reads.
+    The decoder runs once per distinct (item, previous token) row; a
+    repeated bigram in an item's supervision reuses its row. logit_seqs[j]
+    gathers item j's rows per position when it is indexed, as a new array.
     """
     items = list(items)
     if not items:
@@ -334,8 +362,15 @@ def forward_batch(p: ParamSet, items: Sequence[BatchItem]):
     prev_flat = np.array(prev_toks, dtype=np.int64)
     targets_flat = np.array(target_toks, dtype=np.int64)
     item_index = np.repeat(np.arange(n, dtype=np.int64), pos_counts)
-    zd, a_hid, logits_flat = decoder_block(p, q_mat[item_index], prev_flat)
-    logit_seqs = np.split(logits_flat, np.cumsum(pos_counts)[:-1], axis=0)
+    # One decoder row per distinct (item, previous token) pair; prev ranges
+    # over the vocabulary plus BOS, so the key is unique per pair.
+    keys, row_of_pos, row_counts = np.unique(
+        item_index * (p.vocab_size + 1) + prev_flat,
+        return_inverse=True, return_counts=True,
+    )
+    row_item, row_prev = np.divmod(keys, p.vocab_size + 1)
+    zd, a_hid, logits = decoder_block(p, q_mat[row_item], row_prev)
+    bounds = np.concatenate([[0], np.cumsum(pos_counts)])
 
     trace = ForwardTrace(
         mod_toks=mod_toks,
@@ -347,11 +382,13 @@ def forward_batch(p: ParamSet, items: Sequence[BatchItem]):
         fused=fused,
         q_mat=q_mat,
         t_mat=t_mat,
-        prev_flat=prev_flat,
-        item_index=item_index,
+        row_item=row_item,
+        row_prev=row_prev,
+        row_counts=row_counts,
+        row_of_pos=row_of_pos,
         zd=zd,
         a_hid=a_hid,
-        logits_flat=logits_flat,
+        logits=logits,
         targets_flat=targets_flat,
     )
-    return q_mat, t_mat, logit_seqs, trace
+    return q_mat, t_mat, _LogitSeqs(logits, row_of_pos, bounds), trace

@@ -115,22 +115,30 @@ def _zero_grads(p: ParamSet) -> GradientSet:
 # Losses
 # ---------------------------------------------------------------------------
 
-def _softmax_ce(logits, targets):
-    """Mean softmax cross-entropy over rows, and its gradient.
+def _softmax_ce(logits, targets, rows=None, counts=None):
+    """Mean softmax cross-entropy over positions, and its gradient.
 
-    Returns (loss, d_logits) with d_logits = (softmax - onehot) / rows. The
-    exponentials are computed once, in place, and normalised by one division
-    by rows * row sum (single normaliser: Milakov & Gimelshein,
-    arXiv:1805.02867).
+    Position i reads logits row rows[i] (default: row i) and has target
+    targets[i]; counts[r] is the number of positions reading row r, so
+    several positions can share one row. Returns (loss, d_logits) with
+    d_logits[r] = (counts[r] * softmax[r] - target counts of r) / positions.
+    The exponentials are computed once, in place, and scaled by one division
+    by positions * row sum / count (single normaliser: Milakov & Gimelshein,
+    arXiv:1805.02867); a count of 1 divides exactly, so one position per row
+    gives the plain (softmax - onehot) / positions bit for bit.
     """
-    rows = np.arange(len(targets))
+    n = len(targets)
+    if rows is None:
+        rows, counts = np.arange(n), np.ones(n)
     probs = logits - logits.max(axis=1, keepdims=True)
     target_shifted = probs[rows, targets]
     np.exp(probs, out=probs)
     sums = probs.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(sums[:, 0]) - target_shifted))
-    probs /= sums * len(targets)
-    probs[rows, targets] -= 1.0 / len(targets)
+    loss = float(np.mean(np.log(sums[rows, 0]) - target_shifted))
+    probs /= sums * n / counts[:, None]
+    # A repeated bigram repeats a (row, target) pair; subtract.at charges
+    # each occurrence, where fancy-index -= would charge it once.
+    np.subtract.at(probs, (rows, targets), 1.0 / n)
     return loss, probs
 
 
@@ -228,7 +236,8 @@ def combined_loss(l_txt, l_info, lambda_txt, lambda_info) -> float:
 def batch_loss(p: ParamSet, batch, config: TrainConfig):
     """Forward pass plus both losses; returns (combined, l_txt, l_info)."""
     q_mat, t_mat, _, trace = forward_batch(p, batch)
-    l_txt, _ = _softmax_ce(trace.logits_flat, trace.targets_flat)
+    l_txt, _ = _softmax_ce(trace.logits, trace.targets_flat,
+                           trace.row_of_pos, trace.row_counts)
     l_info, _, _, _ = _info_nce_full(q_mat, t_mat, p.temperature)
     return combined_loss(l_txt, l_info, config.lambda_txt, config.lambda_info), l_txt, l_info
 
@@ -258,20 +267,23 @@ def _backward_with_losses(p: ParamSet, trace: ForwardTrace, batch,
     n = trace.n_items
     d = p.d_joint
 
-    # Text path: dCE/dlogits = (softmax - onehot) / total positions.
-    l_txt, d_logits = _softmax_ce(trace.logits_flat, trace.targets_flat)
-    d_logits *= config.lambda_txt
-
-    g.w_out += trace.a_hid.T @ d_logits
-    g.b_out += d_logits.sum(axis=0)
-    d_a = d_logits @ p.w_out.T
-    d_uh = d_a * (1.0 - trace.a_hid ** 2)
-    g.w_hid += trace.zd.T @ d_uh
-    g.b_hid += d_uh.sum(axis=0)
-    d_zd = d_uh @ p.w_hid.T
+    # Text path, on the decoder rows. At lambda_txt = 0 every decoder term
+    # is an exact zero, so skipping it changes no bit of the result.
+    l_txt, d_logits = _softmax_ce(trace.logits, trace.targets_flat,
+                                  trace.row_of_pos, trace.row_counts)
     d_q = np.zeros((n, d))
-    np.add.at(d_q, trace.item_index, d_zd[:, :d])
-    np.add.at(g.tok_emb, trace.prev_flat, d_zd[:, d:])
+    if config.lambda_txt != 0.0:
+        if config.lambda_txt != 1.0:
+            d_logits *= config.lambda_txt
+        g.w_out += trace.a_hid.T @ d_logits
+        g.b_out += d_logits.sum(axis=0)
+        d_a = d_logits @ p.w_out.T
+        d_uh = d_a * (1.0 - trace.a_hid ** 2)
+        g.w_hid += trace.zd.T @ d_uh
+        g.b_hid += d_uh.sum(axis=0)
+        d_zd = d_uh @ p.w_hid.T
+        np.add.at(d_q, trace.row_item, d_zd[:, :d])
+        np.add.at(g.tok_emb, trace.row_prev, d_zd[:, d:])
 
     # Contrastive path.
     l_info, d_q_info, d_t_info, d_tau = _info_nce_full(

@@ -338,7 +338,10 @@ class _StubHandler(BaseHTTPRequestHandler):
 def stub():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
     server.requests = 0
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll keeps shutdown() from waiting out serve_forever's
+    # default 0.5 s poll on every teardown.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     yield server
     server.shutdown()

@@ -1,9 +1,14 @@
 """CLI contract: exit codes, file outputs, determinism, config resolution."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cirlite
 from cirlite.cli import main
 from cirlite.data import (
     CoTAnnotation,
@@ -326,3 +331,22 @@ def test_malformed_k_list_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--print-config", "--k-list", "5,abc"])
     assert exc.value.code == 2
+
+
+def test_module_entry_point_runs_the_cli():
+    # `python -m cirlite.cli` dispatches to main: --help prints the usage and
+    # exits 0, an unknown command is a usage error.
+    src = str(Path(cirlite.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        part for part in (src, os.environ.get("PYTHONPATH")) if part))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "cirlite.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    helped = run("--help")
+    assert helped.returncode == 0
+    assert helped.stdout.startswith("usage: cirlite")
+    bad = run("no-such-command")
+    assert bad.returncode == 2
+    assert "invalid choice" in bad.stderr

@@ -233,7 +233,12 @@ def test_forward_rows_match_standalone_ops():
 def test_forward_teacher_forcing_matches_decode_step():
     p = small_params(9)
     batch = make_batch(3, 2)
-    q, _, logit_seqs, _ = forward_batch(p, batch)
+    # A repeated bigram: item 0's positions share decoder rows.
+    batch[0] = dataclasses.replace(batch[0], target_toks=[3, 5, 3, 5])
+    q, _, logit_seqs, trace = forward_batch(p, batch)
+    assert len(trace.row_counts) < trace.targets_flat.size
+    assert len(logit_seqs) == len(batch)
+    np.testing.assert_array_equal(logit_seqs[-1], logit_seqs[len(batch) - 1])
     for j, item in enumerate(batch):
         targets = list(item.target_toks) + [EOS_TOKEN]
         prev = p.vocab_size

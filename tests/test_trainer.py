@@ -59,6 +59,32 @@ def small_batch(seed, n=3):
     ]
 
 
+def repeated_bigram_batch(seed):
+    """small_batch whose item 0 supervises 3 5 3 5: its decoder row
+    (item 0, prev 3) has target 5 twice, a repeated (row, target) pair, and
+    its row (item 0, prev 5) has the targets 3 and EOS."""
+    batch = small_batch(seed)
+    batch[0] = dataclasses.replace(batch[0], target_toks=[3, 5, 3, 5])
+    return batch
+
+
+class _ZeroThatTakesDecoderPath(float):
+    """0.0 that compares unequal to every number and is truthy, so backward
+    runs the decoder backward on zero-scaled gradients instead of skipping
+    it."""
+
+    def __eq__(self, other):
+        return False
+
+    def __ne__(self, other):
+        return True
+
+    def __bool__(self):
+        return True
+
+    __hash__ = float.__hash__
+
+
 # ---------------------------------------------------------------------------
 # InfoNCE
 # ---------------------------------------------------------------------------
@@ -252,6 +278,56 @@ def test_lambda_txt_zero_zeroes_decoder_gradients():
         assert np.all(g.tok_emb[tok] == 0.0)
 
 
+def test_lambda_txt_zero_skip_equals_full_path_bitwise():
+    # Skipping the decoder backward at lambda_txt = 0 changes no bit: the
+    # path that runs it on zeroed gradients gives the same tensors, on a
+    # batch whose decoder rows repeat.
+    p, batch = small_params(4), repeated_bigram_batch(4)
+    _, _, _, trace = forward_batch(p, batch)
+    skipped = backward(p, trace, batch, TrainConfig(stage=2, lambda_txt=0.0))
+    full = backward(p, trace, batch,
+                    TrainConfig(stage=2, lambda_txt=_ZeroThatTakesDecoderPath()))
+    for name in PARAM_FIELDS:
+        np.testing.assert_array_equal(getattr(skipped, name), getattr(full, name))
+    assert skipped.d_temperature == full.d_temperature
+    for name in ("w_hid", "b_hid", "w_out", "b_out"):
+        assert np.all(getattr(skipped, name) == 0.0)
+
+
+def test_gradient_check_repeated_decoder_rows():
+    # One decoder row per distinct (item, prev) pair, charged for all of its
+    # positions, against the per-position finite-difference oracle.
+    config = TrainConfig(stage=2, seed=0)
+    for seed in range(3):
+        p, batch = small_params(seed), repeated_bigram_batch(seed)
+        _, _, _, trace = forward_batch(p, batch)
+        positions = sum(len(item.target_toks) + 1 for item in batch)
+        assert trace.targets_flat.size == trace.row_counts.sum() == positions
+        assert len(trace.row_counts) < positions
+        prevs = [p.vocab_size] + batch[0].target_toks
+        first = trace.row_of_pos[:len(prevs)]
+        assert list(trace.row_item[first]) == [0] * len(prevs)
+        assert list(trace.row_prev[first]) == prevs
+        errors = max_relative_error(
+            backward(p, trace, batch, config),
+            finite_diff_grad(p, batch, config, 1e-4),
+        )
+        assert max(errors.values()) < 1e-4, errors
+
+
+def test_backward_leaves_trace_unchanged():
+    # backward reads the trace and writes nothing to it, and logit_seqs are
+    # copies: a second backward on one trace gives the same gradients.
+    p, batch = small_params(2), repeated_bigram_batch(2)
+    _, _, logit_seqs, trace = forward_batch(p, batch)
+    config = TrainConfig(stage=2)
+    first = backward(p, trace, batch, config)
+    logit_seqs[0][:] = 0.0
+    second = backward(p, trace, batch, config)
+    for name in PARAM_FIELDS:
+        np.testing.assert_array_equal(getattr(first, name), getattr(second, name))
+
+
 def test_doubling_lambda_txt_doubles_text_gradient_exactly():
     p = small_params(5)
     batch = small_batch(5)
@@ -374,11 +450,11 @@ def test_backward_losses_equal_batch_loss_bitwise():
     config = TrainConfig(stage=2)
     for seed in range(4):
         p = small_params(seed)
-        batch = small_batch(seed, n=4)
-        _, l_txt, l_info = batch_loss(p, batch, config)
-        _, _, _, trace = forward_batch(p, batch)
-        _, bw_txt, bw_info = _backward_with_losses(p, trace, batch, config)
-        assert (bw_txt, bw_info) == (l_txt, l_info)
+        for batch in (small_batch(seed, n=4), repeated_bigram_batch(seed)):
+            _, l_txt, l_info = batch_loss(p, batch, config)
+            _, _, _, trace = forward_batch(p, batch)
+            _, bw_txt, bw_info = _backward_with_losses(p, trace, batch, config)
+            assert (bw_txt, bw_info) == (l_txt, l_info)
 
 
 def test_stage1_gradient_check():
