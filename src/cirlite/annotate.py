@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, replace
@@ -256,61 +257,63 @@ class MockJudge:
         return max(1, min(5, base))
 
 
-class RemoteGenerator:
-    """GeneratorClient talking JSON-over-HTTP to an annotation endpoint."""
+class _RemoteClient:
+    """An endpoint URL with the timeout and retry count of its requests."""
 
     def __init__(self, endpoint: str, timeout: float = 30.0, retries: int = 2):
         self.endpoint = endpoint
         self.timeout = timeout
         self.retries = retries
 
+    def _post(self, payload: dict) -> dict:
+        return _post_json(self.endpoint, payload, self.timeout, self.retries)
+
+
+class RemoteGenerator(_RemoteClient):
+    """GeneratorClient talking JSON-over-HTTP to an annotation endpoint."""
+
     def generate(self, prompt: str) -> str:
-        reply = _post_json(
-            self.endpoint, {"prompt": prompt}, self.timeout, self.retries
-        )
+        reply = self._post({"prompt": prompt})
         if "text" not in reply or not isinstance(reply["text"], str):
             raise EndpointError(f"generator reply missing 'text': {reply!r}")
         return reply["text"]
 
 
-class RemoteJudge:
+class RemoteJudge(_RemoteClient):
     """JudgeClient talking JSON-over-HTTP to a scoring endpoint."""
 
-    def __init__(self, endpoint: str, timeout: float = 30.0, retries: int = 2):
-        self.endpoint = endpoint
-        self.timeout = timeout
-        self.retries = retries
-
     def score(self, conclusion: str, target_descriptor: str) -> int:
-        reply = _post_json(
-            self.endpoint,
-            {"conclusion": conclusion, "target": target_descriptor},
-            self.timeout,
-            self.retries,
-        )
-        if "score" not in reply:
-            raise EndpointError(f"judge reply missing 'score': {reply!r}")
-        return int(reply["score"])
+        reply = self._post({"conclusion": conclusion, "target": target_descriptor})
+        if "score" not in reply or type(reply["score"]) is not int:
+            raise EndpointError(f"judge reply has no integer 'score': {reply!r}")
+        return reply["score"]
 
 
 # Request Timeout and Too Many Requests: the request was fine, the server
 # was slow or busy.
 _RETRIED_4XX = (408, 429)
 
+# Retry n (from 0) waits min(RETRY_CAP_S, RETRY_BASE_S * 2**n) seconds first.
+RETRY_BASE_S = 0.05
+RETRY_CAP_S = 1.0
+
 
 def _post_json(endpoint: str, payload: dict, timeout: float, retries: int) -> dict:
     """POST payload as JSON and parse the JSON reply.
 
     Connection errors, HTTP 5xx, 408, 429 and unparseable replies are
-    retried up to `retries` times; any other HTTP 4xx means the request
-    itself is wrong, so it fails at once. Every failure raises EndpointError.
+    retried up to `retries` times, after a growing wait; any other HTTP 4xx
+    means the request itself is wrong, so it fails at once. Every failure
+    raises EndpointError.
     """
     body = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(
         endpoint, data=body, headers={"Content-Type": "application/json"}
     )
     last_error = None
-    for _ in range(retries + 1):
+    for attempt in range(retries + 1):
+        if attempt:
+            time.sleep(min(RETRY_CAP_S, RETRY_BASE_S * 2 ** (attempt - 1)))
         try:
             with urllib.request.urlopen(request, timeout=timeout) as response:
                 return json.loads(response.read().decode("utf-8"))

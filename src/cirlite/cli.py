@@ -271,7 +271,7 @@ def cmd_report(cfg: RunConfig) -> int:
     _require(cfg, "report")
     try:
         report = EvalReport.from_json(Path(cfg.report).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CirliteError(f"cannot read report {cfg.report}: {exc}") from exc
     print(f"queries: {report.query_count}")
     for k in sorted(report.recall):
@@ -364,10 +364,7 @@ def main(argv=None) -> int:
             print(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True))
             return 0
         return _COMMANDS[args.command](cfg)
-    except CirliteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CirliteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CirliteError
-from .store import MANIFEST_FILENAME, EmbeddingMatrix, save_embeddings
+from .store import MANIFEST_FILENAME, EmbeddingMatrix, save_embeddings, write_jsonl
 
 DEFAULT_VOCAB = 4096
 
@@ -35,6 +35,27 @@ _ATTR_WORDS = [
 
 class DatasetError(CirliteError):
     """Malformed triplet, annotation, or generator parameters."""
+
+
+# Value checks for record fields by annotation; the annotations are strings
+# under the __future__ import. Fields annotated otherwise are checked by hand.
+_IS_TYPE = {
+    "str": lambda v: isinstance(v, str),
+    "list[str]": lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+    "bool": lambda v: isinstance(v, bool),
+}
+
+
+def _check_field_types(record) -> None:
+    """Raise DatasetError unless each checked field holds its annotated type."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        optional = f.type.endswith(" | None")
+        check = _IS_TYPE.get(f.type.removesuffix(" | None"))
+        if check and not (optional and value is None) and not check(value):
+            raise DatasetError(
+                f"pair {record.pair_id!r}: {f.name} must be {f.type}, got {value!r}"
+            )
 
 
 @dataclass
@@ -57,6 +78,7 @@ class Triplet:
     target_descriptor: str | None = None
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.reference_id == self.target_id:
             raise DatasetError(
                 f"pair {self.pair_id!r}: reference_id equals target_id "
@@ -84,6 +106,7 @@ class CoTAnnotation:
     accepted: bool = False
 
     def __post_init__(self):
+        _check_field_types(self)
         for score in self.judge_scores:
             if not isinstance(score, int) or not 1 <= score <= 5:
                 raise DatasetError(
@@ -102,55 +125,42 @@ class CoTAnnotation:
                 )
 
 
-def _jsonl_records(path):
+def _load_jsonl(path, kind: str, make) -> list:
+    """make(record) for each non-blank JSONL line; every error names the file and line."""
+    if not Path(path).is_file():
+        raise DatasetError(f"{kind} file not found: {path}")
+    items = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                yield lineno, json.loads(line)
+                items.append(make(json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+            except KeyError as exc:
+                raise DatasetError(f"{path}:{lineno}: missing field {exc}") from exc
+            except (DatasetError, TypeError) as exc:
+                raise DatasetError(f"{path}:{lineno}: {exc}") from exc
+    return items
 
 
 def load_triplets(path) -> list[Triplet]:
     """Load triplets from JSONL, validating invariants with line numbers."""
-    if not Path(path).is_file():
-        raise DatasetError(f"triplet file not found: {path}")
-    triplets = []
-    for lineno, record in _jsonl_records(path):
-        try:
-            triplets.append(Triplet(**record))
-        except (DatasetError, TypeError) as exc:
-            raise DatasetError(f"{path}:{lineno}: {exc}") from exc
-    return triplets
+    return _load_jsonl(path, "triplet", lambda r: Triplet(**r))
 
 
 def write_triplets(triplets, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for t in triplets:
-            record = {k: v for k, v in asdict(t).items() if v is not None}
-            handle.write(json.dumps(record, sort_keys=False) + "\n")
+    write_jsonl([{k: v for k, v in asdict(t).items() if v is not None} for t in triplets], path)
 
 
 def load_annotations(path) -> list[CoTAnnotation]:
     """Load annotations from JSONL (same validation discipline as triplets)."""
-    if not Path(path).is_file():
-        raise DatasetError(f"annotation file not found: {path}")
-    annotations = []
-    for lineno, record in _jsonl_records(path):
-        try:
-            annotations.append(CoTAnnotation(**record))
-        except (DatasetError, TypeError) as exc:
-            raise DatasetError(f"{path}:{lineno}: {exc}") from exc
-    return annotations
+    return _load_jsonl(path, "annotation", lambda r: CoTAnnotation(**r))
 
 
 def write_annotations(annotations, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for a in annotations:
-            handle.write(json.dumps(asdict(a), sort_keys=False) + "\n")
+    write_jsonl(map(asdict, annotations), path)
 
 
 def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB) -> list[int]:
@@ -367,21 +377,11 @@ def oracle_query_vector(world: SynthWorld, triplet: Triplet) -> np.ndarray:
 
 def load_nli_pairs(path) -> list[tuple[str, str]]:
     """Load premise/positive text pairs from JSONL."""
-    if not Path(path).is_file():
-        raise DatasetError(f"nli pair file not found: {path}")
-    pairs = []
-    for lineno, record in _jsonl_records(path):
-        try:
-            pairs.append((record["premise"], record["positive"]))
-        except (KeyError, TypeError) as exc:
-            raise DatasetError(f"{path}:{lineno}: expected premise/positive fields") from exc
-    return pairs
+    return _load_jsonl(path, "nli pair", lambda r: (r["premise"], r["positive"]))
 
 
 def write_nli_pairs(pairs, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for premise, positive in pairs:
-            handle.write(json.dumps({"premise": premise, "positive": positive}) + "\n")
+    write_jsonl([{"premise": a, "positive": b} for a, b in pairs], path)
 
 
 def save_world(world: SynthWorld, out_dir) -> dict[str, str]:

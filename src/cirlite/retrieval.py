@@ -9,13 +9,12 @@ scored in blocks, and rank, subset rank and top-k all read the same block.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CirliteError
-from .store import EmbeddingMatrix, ZeroVectorError, l2_normalize
+from .store import EmbeddingMatrix, ZeroVectorError, l2_normalize, write_jsonl
 
 # Score blocks hold at most this many bytes of float64 cosines, so scoring a
 # batch of any size stays bounded in memory, at 65 535 gallery items too.
@@ -187,11 +186,5 @@ def write_ranked_results(pair_ids, ranked_lists, path) -> None:
         raise RetrievalError(
             f"{len(pair_ids)} pair ids for {len(ranked_lists)} ranked lists"
         )
-    with open(path, "w", encoding="utf-8") as handle:
-        for pair_id, ranked in zip(pair_ids, ranked_lists):
-            record = {
-                "pair_id": pair_id,
-                "ranked_ids": ranked.ids,
-                "scores": ranked.scores,
-            }
-            handle.write(json.dumps(record) + "\n")
+    write_jsonl(({"pair_id": pair_id, "ranked_ids": ranked.ids, "scores": ranked.scores}
+                 for pair_id, ranked in zip(pair_ids, ranked_lists)), path)

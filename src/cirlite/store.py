@@ -176,30 +176,36 @@ def write_atomic(path, data: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def write_jsonl(records, path) -> None:
+    """Write records as JSONL, one json.dumps object per line, atomically."""
+    write_atomic(path, "".join(json.dumps(r) + "\n" for r in records).encode("utf-8"))
+
+
 def save_embeddings(matrix: EmbeddingMatrix, out_dir) -> Manifest:
     """Write the matrix to ``out_dir`` and return its manifest.
 
     Deterministic: saving the same matrix twice produces identical bytes
-    and therefore identical checksums.
+    and therefore identical checksums. Blob, ids and manifest are each
+    written atomically, in that order, so a failure part-way leaves the old
+    manifest, which fails its checksum or count check against the new data.
     """
     out = Path(out_dir)
+    raw = np.ascontiguousarray(matrix.values, dtype="<f4").tobytes()
+    manifest = Manifest(
+        dims=matrix.dims,
+        count=matrix.count,
+        dtype=DTYPE_TAG,
+        values_file=VALUES_FILENAME,
+        ids_file=IDS_FILENAME,
+        checksum=_checksum(raw),
+    )
     try:
         out.mkdir(parents=True, exist_ok=True)
-        raw = np.ascontiguousarray(matrix.values, dtype="<f4").tobytes()
-        (out / VALUES_FILENAME).write_bytes(raw)
-        ids_text = "".join(item_id + "\n" for item_id in matrix.ids)
-        (out / IDS_FILENAME).write_text(ids_text, encoding="utf-8")
-        manifest = Manifest(
-            dims=matrix.dims,
-            count=matrix.count,
-            dtype=DTYPE_TAG,
-            values_file=VALUES_FILENAME,
-            ids_file=IDS_FILENAME,
-            checksum=_checksum(raw),
-        )
-        (out / MANIFEST_FILENAME).write_text(
-            json.dumps(manifest.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        write_atomic(out / VALUES_FILENAME, raw)
+        write_atomic(out / IDS_FILENAME,
+                     "".join(item_id + "\n" for item_id in matrix.ids).encode("utf-8"))
+        write_atomic(out / MANIFEST_FILENAME,
+                     (json.dumps(manifest.to_dict(), indent=2) + "\n").encode("utf-8"))
     except OSError as exc:
         raise StoreError(f"cannot write embeddings to {out}: {exc}") from exc
     return manifest
@@ -229,9 +235,11 @@ def load_embeddings(manifest_path) -> EmbeddingMatrix:
         raise ManifestError(
             f"unsupported dtype tag {payload['dtype']!r}; only {DTYPE_TAG!r} is supported"
         )
-    dims, count = int(payload["dims"]), int(payload["count"])
-    if dims < 1 or count < 0:
-        raise ManifestError(f"manifest {path} has invalid dims/count: {dims}/{count}")
+    dims, count = payload["dims"], payload["count"]
+    if type(dims) is not int or type(count) is not int or dims < 1 or count < 0:
+        raise ManifestError(f"manifest {path} has invalid dims/count: {dims!r}/{count!r}")
+    if not all(isinstance(payload[key], str) for key in ("values_file", "ids_file", "checksum")):
+        raise ManifestError(f"manifest {path} file and checksum fields must be strings")
 
     values_path = path.parent / payload["values_file"]
     ids_path = path.parent / payload["ids_file"]

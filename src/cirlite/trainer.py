@@ -36,7 +36,7 @@ from .model import (
     pool_tokens,
     text_block,
 )
-from .store import lookup, write_atomic
+from .store import lookup, write_atomic, write_jsonl
 
 CHECKPOINT_VERSION = 1
 
@@ -698,7 +698,5 @@ def checkpoint_seed(path) -> int | None:
 
 
 def write_loss_log(entries, path) -> None:
-    """Write training log entries as JSONL."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for entry in entries:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
+    """Write training log entries as JSONL, keys sorted (entries are flat)."""
+    write_jsonl((dict(sorted(entry.items())) for entry in entries), path)

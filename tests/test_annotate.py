@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from cirlite import annotate as annotate_mod
 from cirlite.annotate import (
     AnnotateError,
     EndpointError,
@@ -311,6 +312,11 @@ def test_pipeline_pure_function_of_inputs():
 # Remote clients (wire format against a local stub)
 # ---------------------------------------------------------------------------
 
+# Judge replies served at /score/<name>.
+_SCORE_REPLIES = {"float": {"score": 4.7}, "string": {"score": "5"}, "bool": {"score": True},
+                  "null": {"score": None}}
+
+
 class _StubHandler(BaseHTTPRequestHandler):
     # POST to /status/<code> answers with that HTTP error status.
     def do_POST(self):
@@ -319,7 +325,9 @@ class _StubHandler(BaseHTTPRequestHandler):
         if self.path.startswith("/status/"):
             self.send_error(int(self.path.rsplit("/", 1)[1]))
             return
-        if "prompt" in payload:
+        if self.path.startswith("/score/"):
+            reply = _SCORE_REPLIES[self.path.rsplit("/", 1)[1]]
+        elif "prompt" in payload:
             reply = {"text": "[CAPTION]\nc\n[REASONING]\n1. s\n[CONCLUSION]\nd"}
         else:
             reply = {"score": 5 if "red" in payload["conclusion"] else 1}
@@ -385,3 +393,41 @@ def test_remote_client_retryable_status_is_retried(stub, stub_server, status):
     with pytest.raises(EndpointError, match=f"failed: HTTP Error {status}"):
         client.generate("prompt")
     assert stub.requests == 3
+
+
+@pytest.mark.parametrize("name", sorted(_SCORE_REPLIES))
+def test_remote_judge_rejects_score_that_is_not_int(stub, stub_server, name):
+    judge = RemoteJudge(f"{stub_server}score/{name}", timeout=5.0, retries=2)
+    with pytest.raises(EndpointError, match="no integer 'score'"):
+        judge.score("red item", "target")
+    assert stub.requests == 1
+
+
+def test_remote_client_waits_before_each_retry(stub, stub_server, monkeypatch):
+    waits = []
+    monkeypatch.setattr(annotate_mod.time, "sleep", waits.append)
+    client = RemoteGenerator(f"{stub_server}status/503", timeout=5.0, retries=2)
+    with pytest.raises(EndpointError, match="HTTP Error 503"):
+        client.generate("prompt")
+    assert stub.requests == 3
+    assert waits == [annotate_mod.RETRY_BASE_S, 2 * annotate_mod.RETRY_BASE_S]
+
+
+def test_remote_client_wait_is_capped(stub, stub_server, monkeypatch):
+    waits = []
+    monkeypatch.setattr(annotate_mod.time, "sleep", waits.append)
+    monkeypatch.setattr(annotate_mod, "RETRY_CAP_S", 3 * annotate_mod.RETRY_BASE_S)
+    client = RemoteGenerator(f"{stub_server}status/503", timeout=5.0, retries=4)
+    with pytest.raises(EndpointError, match="HTTP Error 503"):
+        client.generate("prompt")
+    base = annotate_mod.RETRY_BASE_S
+    assert waits == [base, 2 * base, 3 * base, 3 * base]
+
+
+def test_remote_client_4xx_does_not_wait(stub, stub_server, monkeypatch):
+    waits = []
+    monkeypatch.setattr(annotate_mod.time, "sleep", waits.append)
+    judge = RemoteJudge(f"{stub_server}status/400", timeout=5.0, retries=2)
+    with pytest.raises(EndpointError, match="HTTP 400"):
+        judge.score("red item", "target")
+    assert waits == []

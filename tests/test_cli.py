@@ -196,6 +196,76 @@ def test_eval_failed_report_write_keeps_previous_report(world_dir, tmp_path, mon
 
 
 # ---------------------------------------------------------------------------
+# Malformed inputs: exit 1 with an error line, never a traceback
+# ---------------------------------------------------------------------------
+
+def _write_with_bad_second_record(src_lines, change, path):
+    records = [json.loads(line) for line in src_lines[:2]]
+    records[1].update(change)
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+@pytest.mark.parametrize("command, change", [
+    ("eval", {"modification_text": 5}),
+    ("eval", {"reference_id": ["x"]}),
+    ("eval", {"pair_id": None}),
+    ("filter", {"conclusion": None}),
+    ("ingest", {"dims": "abc"}),
+    ("ingest", {"count": None}),
+    ("ingest", {"values_file": 5}),
+])
+def test_malformed_field_exits_1(world_dir, tmp_path, capsys, command, change):
+    from cirlite.model import init_params
+    from cirlite.trainer import save_checkpoint
+
+    bad = tmp_path / "bad.jsonl"
+    if command == "eval":
+        save_checkpoint(init_params(0, vocab_size=512, d_img=16), tmp_path / "p.ckpt")
+        _write_with_bad_second_record(Path(world_dir["eval"]).read_text().splitlines(),
+                                      change, bad)
+        argv = ["eval", "--checkpoint", str(tmp_path / "p.ckpt"),
+                "--embeddings", world_dir["embeddings"], "--triplets", str(bad),
+                "--report", str(tmp_path / "r.json")]
+    elif command == "filter":
+        accepted = CoTAnnotation("p0", "cap", ["s"], "conc", [5, 5, 5], True)
+        write_annotations([accepted, accepted], tmp_path / "ann.jsonl")
+        _write_with_bad_second_record((tmp_path / "ann.jsonl").read_text().splitlines(),
+                                      change, bad)
+        argv = ["filter", "--annotations", str(bad),
+                "--accepted", str(tmp_path / "acc.jsonl"),
+                "--rejected", str(tmp_path / "rej.jsonl")]
+    else:
+        emb = Path(world_dir["embeddings"]).parent
+        for f in emb.iterdir():
+            (tmp_path / f.name).write_bytes(f.read_bytes())
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest.update(change)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["ingest", "--embeddings", str(tmp_path / "manifest.json"),
+                "--triplets", world_dir["triplets"]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if command != "ingest":
+        assert f"{bad}:2: " in err
+        assert f"{next(iter(change))} must be" in err
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "acc.jsonl").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]\n",
+    '{"query_count": 1, "recall": [], "subset_recall": {}, "map_at": {}, '
+    '"subset_query_count": 0, "cirr_avg": null}\n',
+    '{"query_count": 1, "recall": {"x": 50.0}, "subset_recall": {}, "map_at": {}, '
+    '"subset_query_count": 0, "cirr_avg": null}\n',
+])
+def test_report_malformed_document_exits_1(tmp_path, capsys, text):
+    (tmp_path / "r.json").write_text(text)
+    assert main(["report", "--report", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read report")
+
+
+# ---------------------------------------------------------------------------
 # Annotation and filtering via CLI
 # ---------------------------------------------------------------------------
 

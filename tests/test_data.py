@@ -115,6 +115,54 @@ def test_judge_scores_validated():
         CoTAnnotation("p0", "cap", ["s"], "conc", [6], False)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("pair_id", None),
+    ("reference_id", ["x"]),
+    ("modification_text", 5),
+    ("target_id", 7),
+    ("subset_ids", "b"),
+    ("subset_ids", ["b", 5]),
+    ("gt_ids", {"b": 1}),
+    ("reference_descriptor", 3),
+    ("target_descriptor", ["item"]),
+])
+def test_triplet_field_types_checked(field, value):
+    with pytest.raises(DatasetError, match=f"{field} must be"):
+        make_triplet(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("pair_id", 0),
+    ("caption", None),
+    ("conclusion", None),
+    ("reasoning_steps", "one step"),
+    ("reasoning_steps", ["s", None]),
+    ("accepted", 1),
+])
+def test_annotation_field_types_checked(field, value):
+    fields = dict(pair_id="p0", caption="cap", reasoning_steps=["s"], conclusion="conc",
+                  judge_scores=[5], accepted=True)
+    fields[field] = value
+    with pytest.raises(DatasetError, match=f"{field} must be"):
+        CoTAnnotation(**fields)
+
+
+def test_load_tags_field_type_error_with_line(tmp_path):
+    path = tmp_path / "t.jsonl"
+    good = '{"pair_id": "p0", "reference_id": "a", "modification_text": "m", "target_id": "b"}'
+    bad = '{"pair_id": "p1", "reference_id": "a", "modification_text": 5, "target_id": "b"}'
+    path.write_text(good + "\n" + bad + "\n")
+    with pytest.raises(DatasetError, match=":2: .*modification_text must be str"):
+        load_triplets(path)
+
+
+def test_load_nli_pairs_missing_field_names_line(tmp_path):
+    path = tmp_path / "n.jsonl"
+    path.write_text('{"premise": "a", "positive": "b"}\n{"premise": "c"}\n')
+    with pytest.raises(DatasetError, match=":2: missing field 'positive'"):
+        load_nli_pairs(path)
+
+
 # ---------------------------------------------------------------------------
 # tokenize
 # ---------------------------------------------------------------------------

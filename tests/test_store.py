@@ -3,10 +3,19 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cirlite.data import (
+    CoTAnnotation,
+    Triplet,
+    write_annotations,
+    write_nli_pairs,
+    write_triplets,
+)
+from cirlite.retrieval import RankedList, write_ranked_results
 from cirlite.store import (
     ChecksumMismatchError,
     CountMismatchError,
@@ -14,6 +23,7 @@ from cirlite.store import (
     EmbeddingMatrix,
     ManifestError,
     NonFiniteValueError,
+    StoreError,
     UnknownIdError,
     ZeroVectorError,
     l2_normalize,
@@ -22,6 +32,7 @@ from cirlite.store import (
     save_embeddings,
     write_atomic,
 )
+from cirlite.trainer import write_loss_log
 
 
 def random_matrix(seed, count, dims):
@@ -150,6 +161,25 @@ def test_non_finite_payload(tmp_path):
         load_embeddings(tmp_path / "manifest.json")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("dims", "abc"),
+    ("dims", 4.0),
+    ("dims", True),
+    ("count", None),
+    ("count", "3"),
+    ("values_file", 5),
+    ("ids_file", None),
+    ("checksum", ["sha256:"]),
+])
+def test_manifest_field_of_wrong_type(tmp_path, key, value):
+    save_embeddings(random_matrix(0, count=3, dims=4), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest[key] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ManifestError, match=f"manifest {tmp_path}"):
+        load_embeddings(tmp_path / "manifest.json")
+
+
 def test_unsupported_dtype_tag(tmp_path):
     save_embeddings(random_matrix(0, count=2, dims=2), tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -251,3 +281,109 @@ def test_write_atomic_creates_missing_file(tmp_path):
     write_atomic(tmp_path / "out.bin", b"\x00\x01")
     assert (tmp_path / "out.bin").read_bytes() == b"\x00\x01"
     assert [f.name for f in tmp_path.iterdir()] == ["out.bin"]
+
+
+# ---------------------------------------------------------------------------
+# Every pipeline writer: atomic, and its bytes pinned
+# ---------------------------------------------------------------------------
+
+def _write_triplets(out, n):
+    write_triplets([
+        Triplet(f"p{n}", "a", "addred", "b", subset_ids=["b", "c"], gt_ids=["b"],
+                reference_descriptor="item with blue", target_descriptor="item with red"),
+        Triplet("p1", "c", "dropblue \u00e9", "a"),
+    ], out / "t.jsonl")
+
+
+def _write_annotations(out, n):
+    write_annotations([
+        CoTAnnotation(f"p{n}", "cap", ["s1", "s2"], "conc", [5, 4], True),
+        CoTAnnotation("p1", "c", [], "x"),
+    ], out / "a.jsonl")
+
+
+def _write_nli_pairs(out, n):
+    write_nli_pairs([("a red item", "red item"), ("x", "y" * (n + 1))], out / "n.jsonl")
+
+
+def _write_loss_log(out, n):
+    write_loss_log([{"step": n, "l_txt": 1.5, "combined": 0.25, "epoch": 0},
+                    {"step": 1, "l_txt": 1.0, "combined": 0.1, "epoch": 0}], out / "l.jsonl")
+
+
+def _write_ranked_results(out, n):
+    write_ranked_results(["p0", "p1"], [RankedList(["b", "a"], [0.5, -0.25 * (n + 1)]),
+                                        RankedList(["a", "c"], [1.0, 0.125])], out / "r.jsonl")
+
+
+def _save_embeddings(out, n):
+    values = np.arange(6, dtype=np.float32).reshape(3, 2) / 4 + n
+    save_embeddings(EmbeddingMatrix(["x", "y", "z"], values), out / "emb")
+
+
+# Each writer's output for n = 0, with sha256 digests of the bytes the
+# per-writer open(path, "w") loops produced before write_jsonl replaced them.
+WRITERS = {
+    "triplets": (_write_triplets, {
+        "t.jsonl": "c4c1df32866b57037d894bf6a2d9a314b1b59bb373d88cae1944cf4940083da8"}),
+    "annotations": (_write_annotations, {
+        "a.jsonl": "cc25f6148a5734112ba2ef9ef304a1eb09177fc0daea6654c6846ff427ee6751"}),
+    "nli_pairs": (_write_nli_pairs, {
+        "n.jsonl": "f79ce085a6d9705948771749f4dd2516ce2bfd902df9c4b45409ec135a35c886"}),
+    "loss_log": (_write_loss_log, {
+        "l.jsonl": "958fec3342e8adb510171ce8e806c9e0a19a8e7d1aec3cf245aba5cbfbe5f226"}),
+    "ranked_results": (_write_ranked_results, {
+        "r.jsonl": "2d3c5f2dbbab21e853db55ead51ccc8b548fb402ac04e1974aed2c21d7daa366"}),
+    "embeddings": (_save_embeddings, {
+        "emb/embeddings.f32": "b1290cd43eac8e2fa4ad8d45d9f79f8868fc8a6e08c627c33557814743ffdf3e",
+        "emb/ids.txt": "81884b5f2cb68edc6286363dcc4699a913a2d5ba05818d0fdc43ba68bb990bd8",
+        "emb/manifest.json": "0e73acc1476d2f3a36c63dbc699366b2f51a1092074e43414c1c730a5f5b7112"}),
+}
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(f.relative_to(root)): f.read_bytes() for f in root.rglob("*") if f.is_file()}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writer_bytes_match_golden_hash(tmp_path, name):
+    write, digests = WRITERS[name]
+    write(tmp_path, 0)
+    assert {path: hashlib.sha256(raw).hexdigest()
+            for path, raw in _tree(tmp_path).items()} == digests
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writer_failed_replace_keeps_every_earlier_file(tmp_path, monkeypatch, name):
+    write, _ = WRITERS[name]
+    write(tmp_path, 0)
+    before = _tree(tmp_path)
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", failing_replace)
+    with pytest.raises((OSError, StoreError), match="disk full"):
+        write(tmp_path, 1)
+    assert _tree(tmp_path) == before
+    monkeypatch.undo()
+    write(tmp_path, 1)
+    assert _tree(tmp_path) != before
+
+
+def test_embeddings_failed_manifest_write_fails_checksum(tmp_path, monkeypatch):
+    save_embeddings(random_matrix(0, count=3, dims=4), tmp_path)
+    real_replace = os.replace
+
+    def replace_all_but_manifest(src, dst):
+        if Path(dst).name == "manifest.json":
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr("os.replace", replace_all_but_manifest)
+    with pytest.raises(StoreError, match="disk full"):
+        save_embeddings(random_matrix(1, count=3, dims=4), tmp_path)
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "embeddings.f32", "ids.txt", "manifest.json"]
+    with pytest.raises(ChecksumMismatchError):
+        load_embeddings(tmp_path / "manifest.json")
