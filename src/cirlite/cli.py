@@ -71,6 +71,7 @@ class RunConfig:
     map_k_list: list[int] = dataclasses.field(default_factory=lambda: [5, 10, 25, 50])
 
     def __post_init__(self):
+        data_mod.check_field_types(self, CirliteError, "config")
         for name in ("k_list", "subset_k_list", "map_k_list"):
             values = getattr(self, name)
             if not values or any(v < 1 for v in values) or sorted(set(values)) != values:
@@ -101,6 +102,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise CirliteError(f"cannot read config {config_path}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise CirliteError(f"config {config_path} is not a JSON object")
         unknown = set(loaded) - _CONFIG_FIELDS
         if unknown:
             raise CirliteError(f"unknown config keys: {sorted(unknown)}")

@@ -37,25 +37,28 @@ class DatasetError(CirliteError):
     """Malformed triplet, annotation, or generator parameters."""
 
 
-# Value checks for record fields by annotation; the annotations are strings
-# under the __future__ import. Fields annotated otherwise are checked by hand.
+# Value checks for dataclass fields by annotation; the annotations are
+# strings under the __future__ import. Fields annotated otherwise are checked
+# by hand. A bool is not an int, and an int is a float.
 _IS_TYPE = {
     "str": lambda v: isinstance(v, str),
-    "list[str]": lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "bool": lambda v: isinstance(v, bool),
+    "list[str]": lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+    "list[int]": lambda v: isinstance(v, list) and all(_IS_TYPE["int"](s) for s in v),
 }
 
 
-def _check_field_types(record) -> None:
-    """Raise DatasetError unless each checked field holds its annotated type."""
+def check_field_types(record, error: type[CirliteError], where: str) -> None:
+    """Raise error, prefixed by where, unless each checked field of the
+    dataclass record holds its annotated type (None only for `| None`)."""
     for f in fields(record):
         value = getattr(record, f.name)
         optional = f.type.endswith(" | None")
         check = _IS_TYPE.get(f.type.removesuffix(" | None"))
         if check and not (optional and value is None) and not check(value):
-            raise DatasetError(
-                f"pair {record.pair_id!r}: {f.name} must be {f.type}, got {value!r}"
-            )
+            raise error(f"{where}: {f.name} must be {f.type}, got {value!r}")
 
 
 @dataclass
@@ -78,7 +81,7 @@ class Triplet:
     target_descriptor: str | None = None
 
     def __post_init__(self):
-        _check_field_types(self)
+        check_field_types(self, DatasetError, f"pair {self.pair_id!r}")
         if self.reference_id == self.target_id:
             raise DatasetError(
                 f"pair {self.pair_id!r}: reference_id equals target_id "
@@ -106,9 +109,9 @@ class CoTAnnotation:
     accepted: bool = False
 
     def __post_init__(self):
-        _check_field_types(self)
+        check_field_types(self, DatasetError, f"pair {self.pair_id!r}")
         for score in self.judge_scores:
-            if not isinstance(score, int) or not 1 <= score <= 5:
+            if not 1 <= score <= 5:
                 raise DatasetError(
                     f"pair {self.pair_id!r}: judge score {score!r} outside 1..5"
                 )
@@ -375,9 +378,17 @@ def oracle_query_vector(world: SynthWorld, triplet: Triplet) -> np.ndarray:
     return world.embeddings.values[ref].astype(np.float64) + delta @ world.attr_basis
 
 
+def _nli_pair(record) -> tuple[str, str]:
+    pair = (record["premise"], record["positive"])
+    for name, text in zip(("premise", "positive"), pair):
+        if not isinstance(text, str):
+            raise DatasetError(f"{name} must be str, got {text!r}")
+    return pair
+
+
 def load_nli_pairs(path) -> list[tuple[str, str]]:
     """Load premise/positive text pairs from JSONL."""
-    return _load_jsonl(path, "nli pair", lambda r: (r["premise"], r["positive"]))
+    return _load_jsonl(path, "nli pair", _nli_pair)
 
 
 def write_nli_pairs(pairs, path) -> None:

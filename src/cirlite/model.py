@@ -163,13 +163,15 @@ def composer_block(p: ParamSet, g_img: np.ndarray, txt: np.ndarray):
 
 
 def decoder_block(p: ParamSet, q: np.ndarray, prev):
-    """Decoder on (query, previous token); returns (input, hidden, logits)."""
+    """Decoder on (query, previous token); returns (input, hidden, logits).
+
+    The logits are [a_hid | 1] @ [w_out; b_out]: the output bias rides in
+    the GEMM instead of a separate pass over the rows x vocab logits.
+    """
     zd = np.concatenate([q, p.tok_emb[prev]], axis=-1)
     a_hid = np.tanh(zd @ p.w_hid + p.b_hid)
-    # Bias added in place: `a_hid @ w_out + b_out` would allocate a second
-    # rows x vocab array.
-    logits = a_hid @ p.w_out
-    logits += p.b_out
+    a_one = np.concatenate([a_hid, np.ones(a_hid.shape[:-1] + (1,))], axis=-1)
+    logits = a_one @ np.vstack([p.w_out, p.b_out])
     return zd, a_hid, logits
 
 

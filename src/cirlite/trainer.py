@@ -84,6 +84,8 @@ class TrainConfig:
             raise TrainerError("loss weights must be non-negative")
         if self.tau <= 0:
             raise TrainerError(f"tau must be > 0, got {self.tau}")
+        if self.seed < 0:
+            raise TrainerError(f"seed must be >= 0, got {self.seed}")
         if self.annotation_mode not in ("full", "fast"):
             raise TrainerError(
                 f"annotation_mode must be 'full' or 'fast', got {self.annotation_mode!r}"
@@ -115,30 +117,32 @@ def _zero_grads(p: ParamSet) -> GradientSet:
 # Losses
 # ---------------------------------------------------------------------------
 
-def _softmax_ce(logits, targets, rows=None, counts=None):
-    """Mean softmax cross-entropy over positions, and its gradient.
+def _ce_exps(logits, rows, targets):
+    """Mean softmax cross-entropy over positions, and the exponentials.
 
-    Position i reads logits row rows[i] (default: row i) and has target
-    targets[i]; counts[r] is the number of positions reading row r, so
-    several positions can share one row. Returns (loss, d_logits) with
-    d_logits[r] = (counts[r] * softmax[r] - target counts of r) / positions.
-    The exponentials are computed once, in place, and scaled by one division
-    by positions * row sum / count (single normaliser: Milakov & Gimelshein,
-    arXiv:1805.02867); a count of 1 divides exactly, so one position per row
-    gives the plain (softmax - onehot) / positions bit for bit.
+    Position i reads logits row rows[i] and has target targets[i], so
+    several positions can share one row. Returns (loss, exps, sums): exps
+    is exp(logits - row max) in a new array (the exp runs in place on it)
+    and sums its row sums, so softmax = exps / sums[:, None]. Callers fold
+    that one normaliser into what they do next (Milakov & Gimelshein,
+    arXiv:1805.02867) instead of dividing the whole array.
     """
+    exps = logits - logits.max(axis=1, keepdims=True)
+    target_shifted = exps[rows, targets]
+    np.exp(exps, out=exps)
+    sums = exps.sum(axis=1)
+    loss = float(np.mean(np.log(sums[rows]) - target_shifted))
+    return loss, exps, sums
+
+
+def _softmax_ce(logits, targets):
+    """Mean softmax cross-entropy, row i against targets[i], and its
+    gradient (softmax - onehot) / rows."""
     n = len(targets)
-    if rows is None:
-        rows, counts = np.arange(n), np.ones(n)
-    probs = logits - logits.max(axis=1, keepdims=True)
-    target_shifted = probs[rows, targets]
-    np.exp(probs, out=probs)
-    sums = probs.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(sums[rows, 0]) - target_shifted))
-    probs /= sums * n / counts[:, None]
-    # A repeated bigram repeats a (row, target) pair; subtract.at charges
-    # each occurrence, where fancy-index -= would charge it once.
-    np.subtract.at(probs, (rows, targets), 1.0 / n)
+    rows = np.arange(n)
+    loss, probs, sums = _ce_exps(logits, rows, targets)
+    probs /= sums[:, None] * n
+    probs[rows, targets] -= 1.0 / n
     return loss, probs
 
 
@@ -236,8 +240,7 @@ def combined_loss(l_txt, l_info, lambda_txt, lambda_info) -> float:
 def batch_loss(p: ParamSet, batch, config: TrainConfig):
     """Forward pass plus both losses; returns (combined, l_txt, l_info)."""
     q_mat, t_mat, _, trace = forward_batch(p, batch)
-    l_txt, _ = _softmax_ce(trace.logits, trace.targets_flat,
-                           trace.row_of_pos, trace.row_counts)
+    l_txt = _ce_exps(trace.logits, trace.row_of_pos, trace.targets_flat)[0]
     l_info, _, _, _ = _info_nce_full(q_mat, t_mat, p.temperature)
     return combined_loss(l_txt, l_info, config.lambda_txt, config.lambda_info), l_txt, l_info
 
@@ -245,9 +248,10 @@ def batch_loss(p: ParamSet, batch, config: TrainConfig):
 def backward(p: ParamSet, trace: ForwardTrace, batch, config: TrainConfig) -> GradientSet:
     """Exact gradient of the combined loss for every parameter tensor.
 
-    The text-loss path is scaled by lambda_txt at the logits, so lambda_txt=0
-    zeroes the decoder gradients exactly and doubling lambda_txt doubles the
-    text contribution exactly (scaling by powers of two is lossless).
+    lambda_txt enters the text path as a factor of its row scales and of
+    its one-hot weight, so lambda_txt=0 zeroes the decoder gradients exactly
+    and doubling lambda_txt doubles the text contribution exactly (scaling
+    by powers of two is lossless).
     """
     return _backward_with_losses(p, trace, batch, config)[0]
 
@@ -269,15 +273,26 @@ def _backward_with_losses(p: ParamSet, trace: ForwardTrace, batch,
 
     # Text path, on the decoder rows. At lambda_txt = 0 every decoder term
     # is an exact zero, so skipping it changes no bit of the result.
-    l_txt, d_logits = _softmax_ce(trace.logits, trace.targets_flat,
-                                  trace.row_of_pos, trace.row_counts)
+    rows, targets = trace.row_of_pos, trace.targets_flat
+    l_txt, exps, sums = _ce_exps(trace.logits, rows, targets)
     d_q = np.zeros((n, d))
     if config.lambda_txt != 0.0:
-        if config.lambda_txt != 1.0:
-            d_logits *= config.lambda_txt
-        g.w_out += trace.a_hid.T @ d_logits
-        g.b_out += d_logits.sum(axis=0)
-        d_a = d_logits @ p.w_out.T
+        # d_logits = scale[:, None] * exps - onehot_weight * (one 1 per
+        # position at (row, target)), with scale_r = lambda * count_r /
+        # (P * sum_r). It is never formed: scale goes on the d_hidden-wide
+        # side of each GEMM, the one-hot term is a scatter over the P
+        # positions (np.subtract.at charges a repeated (row, target) pair
+        # once per occurrence), and the bias gradient is the GEMM's last row.
+        positions = targets.size
+        scale = config.lambda_txt * trace.row_counts / (positions * sums)
+        onehot_weight = config.lambda_txt / positions
+        out_grad = np.concatenate([trace.a_hid * scale[:, None], scale[:, None]],
+                                  axis=1).T @ exps
+        g.w_out, g.b_out = out_grad[:-1], out_grad[-1]
+        np.subtract.at(g.w_out.T, targets, onehot_weight * trace.a_hid[rows])
+        g.b_out -= onehot_weight * np.bincount(targets, minlength=p.vocab_size)
+        d_a = (exps @ p.w_out.T) * scale[:, None]
+        np.subtract.at(d_a, rows, onehot_weight * p.w_out.T[targets])
         d_uh = d_a * (1.0 - trace.a_hid ** 2)
         g.w_hid += trace.zd.T @ d_uh
         g.b_hid += d_uh.sum(axis=0)
@@ -608,6 +623,10 @@ def train_stage2(world: SynthWorld, annotations, init: ParamSet,
             _, _, _, trace = forward_batch(p, batch)
             grads, l_txt, l_info = _backward_with_losses(p, trace, batch, config)
             p = sgd_step(p, grads, config.learning_rate)
+            # Drop this step's trace (rows x vocab logits) and gradients
+            # before the next forward allocates its own; held across steps,
+            # they fragment the heap and raise peak RSS.
+            del trace, grads
             _log(loss_log, stage=2, epoch=epoch, step=step, l_txt=l_txt,
                  l_info=l_info,
                  combined=combined_loss(l_txt, l_info,

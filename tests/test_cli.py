@@ -213,6 +213,8 @@ def _write_with_bad_second_record(src_lines, change, path):
     ("ingest", {"dims": "abc"}),
     ("ingest", {"count": None}),
     ("ingest", {"values_file": 5}),
+    ("train", {"premise": 5}),
+    ("train", {"positive": None}),
 ])
 def test_malformed_field_exits_1(world_dir, tmp_path, capsys, command, change):
     from cirlite.model import init_params
@@ -234,6 +236,12 @@ def test_malformed_field_exits_1(world_dir, tmp_path, capsys, command, change):
         argv = ["filter", "--annotations", str(bad),
                 "--accepted", str(tmp_path / "acc.jsonl"),
                 "--rejected", str(tmp_path / "rej.jsonl")]
+    elif command == "train":
+        _write_with_bad_second_record(Path(world_dir["nli_pairs"]).read_text().splitlines(),
+                                      change, bad)
+        argv = ["train", "--stage", "1", "--embeddings", world_dir["embeddings"],
+                "--nli-pairs", str(bad), "--checkpoint", str(tmp_path / "s1.ckpt"),
+                "--vocab-size", "512"]
     else:
         emb = Path(world_dir["embeddings"]).parent
         for f in emb.iterdir():
@@ -249,7 +257,8 @@ def test_malformed_field_exits_1(world_dir, tmp_path, capsys, command, change):
     if command != "ingest":
         assert f"{bad}:2: " in err
         assert f"{next(iter(change))} must be" in err
-    assert not (tmp_path / "r.json").exists() and not (tmp_path / "acc.jsonl").exists()
+    for output in ("r.json", "acc.jsonl", "s1.ckpt"):
+        assert not (tmp_path / output).exists()
 
 
 @pytest.mark.parametrize("text", [
@@ -391,6 +400,46 @@ def test_config_unknown_key_rejected(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"learning_rat": 0.1}))
     assert main(["train", "--print-config", "--config", str(config_path)]) == 1
+
+
+@pytest.mark.parametrize("command, document", [
+    ("ingest", {"seed": "x"}),
+    ("ingest", {"seed": True}),
+    ("ingest", {"endpoint_retries": None}),
+    ("ingest", {"mock": 1}),
+    ("ingest", {"judge_endpoints": ["http://a", 5]}),
+    ("ingest", {"k_list": "1,5"}),
+    ("ingest", ["seed"]),
+    ("ingest", 3),
+    ("train", {"learning_rate": "0.1"}),
+])
+def test_config_value_of_wrong_type_exits_1(world_dir, tmp_path, capsys, command, document):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(document))
+    if command == "ingest":
+        argv = ["ingest", "--embeddings", world_dir["embeddings"],
+                "--triplets", world_dir["triplets"]]
+    else:
+        argv = ["train", "--stage", "1", "--embeddings", world_dir["embeddings"],
+                "--nli-pairs", world_dir["nli_pairs"], "--vocab-size", "512",
+                "--checkpoint", str(tmp_path / "s1.ckpt")]
+    assert main(argv + ["--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if isinstance(document, dict):
+        assert f"config: {next(iter(document))} must be" in err
+    else:
+        assert "not a JSON object" in err
+    assert not (tmp_path / "s1.ckpt").exists()
+
+
+def test_config_int_for_float_and_null_for_optional(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"learning_rate": 1, "tau": 1, "epochs": None,
+                                       "checkpoint": None}))
+    assert main(["train", "--print-config", "--config", str(config_path)]) == 0
+    config = json.loads(capsys.readouterr().out)
+    assert (config["learning_rate"], config["tau"], config["epochs"]) == (1, 1, None)
 
 
 def test_config_bad_k_list_rejected():

@@ -138,6 +138,8 @@ def test_triplet_field_types_checked(field, value):
     ("reasoning_steps", "one step"),
     ("reasoning_steps", ["s", None]),
     ("accepted", 1),
+    ("judge_scores", [5, True]),
+    ("judge_scores", [4.0]),
 ])
 def test_annotation_field_types_checked(field, value):
     fields = dict(pair_id="p0", caption="cap", reasoning_steps=["s"], conclusion="conc",

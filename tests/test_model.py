@@ -12,6 +12,7 @@ from cirlite.model import (
     ParamSet,
     compose_query,
     decode_step,
+    decoder_block,
     encode_text,
     forward_batch,
     greedy_decode,
@@ -247,6 +248,23 @@ def test_forward_teacher_forcing_matches_decode_step():
                 logit_seqs[j][pos], decode_step(p, q[j], prev), atol=1e-9
             )
             prev = target
+
+
+def test_decoder_block_folds_output_bias_into_gemm():
+    # [a_hid | 1] @ [w_out; b_out] is a_hid @ w_out + b_out up to rounding,
+    # for a block of rows and for the single-row decode_step path.
+    for seed in range(3):
+        p = init_params(seed, vocab_size=300, d_tok=6, d_img=6, d_joint=5, d_hidden=7)
+        rng = np.random.default_rng(seed)
+        q = rng.standard_normal((9, 5))
+        prev = rng.integers(0, p.vocab_size + 1, size=9)
+        _, a_hid, logits = decoder_block(p, q, prev)
+        reference = a_hid @ p.w_out + p.b_out
+        scale = np.abs(reference).max()
+        assert np.abs(logits - reference).max() <= 1e-12 * scale
+        _, a_row, row_logits = decoder_block(p, q[0], int(prev[0]))
+        assert row_logits.shape == (p.vocab_size,)
+        assert np.abs(row_logits - (a_row @ p.w_out + p.b_out)).max() <= 1e-12 * scale
 
 
 def test_forward_purity():

@@ -2,6 +2,7 @@
 optimizer algebra, training determinism, checkpoint format."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -19,6 +20,7 @@ from cirlite.trainer import (
     TrainerError,
     _backward_with_losses,
     _fd_block_sizes,
+    _info_nce_full,
     _infonce_loss_only,
     _make_loss_fn,
     _stage1_gradients,
@@ -156,6 +158,38 @@ def test_infonce_zero_row_rejected():
     q[1] = 0.0
     with pytest.raises(TrainerError, match="zero row"):
         info_nce(q, np.ones((2, 3)), 0.07)
+
+
+def _sha256_f64(array):
+    return hashlib.sha256(np.asarray(array, dtype="<f8").tobytes()).hexdigest()
+
+
+# Outputs of the dense softmax-CE callers on fixed inputs, as float.hex and
+# sha256 of little-endian float64 bytes. A change that keeps their arithmetic
+# keeps every bit.
+INFONCE_GOLDEN = [
+    ((0, 6, 4, 0.07), "0x1.c6939bb38b9adp+3", "-0x1.8b3f11c4b8e1bp+7",
+     "dfe55aa86c8491bacda09987e7d42aeaceee90ae545ea5b22c9c38b423e48e34",
+     "a18ec2483dd8996831d4829b314a935314f6424e34e53c81b4c1efd313b20b67"),
+    ((1, 9, 5, 0.5), "0x1.2129b63b4b094p+1", "-0x1.54b568656101ap-1",
+     "6cc33e288f97a34beb38bdf20bcb0f3fe67b234bc1b1ba32962c7b7b3d2aacee",
+     "80a60e36d45c68f02889902271bb80db1018bac26a6401faecdd2efa61516be3"),
+]
+
+
+def test_dense_softmax_ce_callers_match_golden_bits():
+    for (seed, n, d, tau), loss_hex, d_tau_hex, d_q_sha, d_t_sha in INFONCE_GOLDEN:
+        rng = np.random.default_rng(seed)
+        q, t = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+        loss, d_q, d_t, d_tau = _info_nce_full(q, t, tau)
+        assert (loss.hex(), d_tau.hex()) == (loss_hex, d_tau_hex)
+        assert (_sha256_f64(d_q), _sha256_f64(d_t)) == (d_q_sha, d_t_sha)
+    rng = np.random.default_rng(2)
+    seqs = [rng.standard_normal((k, 7)) for k in (3, 1, 4)]
+    loss, grads = cross_entropy_seq(seqs, [[1, 1, 6], [0], [3, 2, 3, 5]])
+    assert loss.hex() == "0x1.061628a11b436p+1"
+    assert _sha256_f64(np.concatenate(grads)) == (
+        "4187d5de9e7c14215200d74141aa01aaed67a10da86ececbd1a53fc4a3666e96")
 
 
 def test_infonce_bad_tau_rejected():
@@ -313,6 +347,63 @@ def test_gradient_check_repeated_decoder_rows():
             finite_diff_grad(p, batch, config, 1e-4),
         )
         assert max(errors.values()) < 1e-4, errors
+
+
+def dense_decoder_reference(p, trace, batch, lambda_txt):
+    """Decoder-side gradients at lambda_info = 0 from one row per position:
+    d_logits from cross_entropy_seq on the per-position logits, pushed back
+    through the per-position hidden activations, then through the composer
+    and text encoder into the token table."""
+    _, _, logit_seqs, _ = forward_batch(p, batch)
+    target_seqs = [list(item.target_toks) + [EOS_TOKEN] for item in batch]
+    _, d_seqs = cross_entropy_seq(list(logit_seqs), target_seqs)
+    d_logits = lambda_txt * np.concatenate(d_seqs)
+    rows = trace.row_of_pos
+    a_hid, zd = trace.a_hid[rows], trace.zd[rows]
+    d = p.d_joint
+    ref = {"w_out": a_hid.T @ d_logits, "b_out": d_logits.sum(axis=0)}
+    d_uh = (d_logits @ p.w_out.T) * (1.0 - a_hid ** 2)
+    ref["w_hid"], ref["b_hid"] = zd.T @ d_uh, d_uh.sum(axis=0)
+    d_zd = d_uh @ p.w_hid.T
+    tok_emb = np.zeros_like(p.tok_emb)
+    np.add.at(tok_emb, trace.row_prev[rows], d_zd[:, d:])
+    d_q = np.zeros((len(batch), d))
+    np.add.at(d_q, trace.row_item[rows], d_zd[:, :d])
+    d_txt = ((d_q * (1.0 - trace.q_mat ** 2)) @ p.w_comp.T)[:, d:]
+    d_x = (d_txt * (1.0 - trace.txt ** 2)) @ p.w_txt.T
+    for j, toks in enumerate(trace.mod_toks):
+        np.add.at(tok_emb, np.asarray(toks), d_x[j] / len(toks))
+    ref["tok_emb"] = tok_emb
+    return ref
+
+
+@pytest.mark.parametrize("lambda_txt", [0.5, 1.0, 3.0])
+def test_decoder_gradients_match_dense_reference(lambda_txt):
+    # The backward never forms d_logits: row scales on the hidden side of
+    # the GEMMs and one-hot scatters over positions give the same tensors
+    # as the dense per-position softmax gradient, on batches with a
+    # repeated (row, target) pair.
+    config = TrainConfig(stage=2, lambda_txt=lambda_txt, lambda_info=0.0)
+    for seed in range(3):
+        p, batch = small_params(seed), repeated_bigram_batch(seed)
+        _, _, _, trace = forward_batch(p, batch)
+        g = backward(p, trace, batch, config)
+        for name, expected in dense_decoder_reference(p, trace, batch, lambda_txt).items():
+            error = np.abs(getattr(g, name) - expected).max()
+            assert error <= 1e-12 * np.abs(expected).max(), (seed, name, error)
+
+
+def test_gradient_check_repeated_decoder_rows_scaled_text_loss():
+    for lambda_txt in (0.5, 3.0):
+        config = TrainConfig(stage=2, seed=0, lambda_txt=lambda_txt)
+        for seed in range(3):
+            p, batch = small_params(seed), repeated_bigram_batch(seed)
+            _, _, _, trace = forward_batch(p, batch)
+            errors = max_relative_error(
+                backward(p, trace, batch, config),
+                finite_diff_grad(p, batch, config, 1e-4),
+            )
+            assert max(errors.values()) < 1e-4, (lambda_txt, seed, errors)
 
 
 def test_backward_leaves_trace_unchanged():
@@ -571,6 +662,8 @@ def test_config_validation():
         TrainConfig(stage=1, annotation_mode="medium")
     with pytest.raises(TrainerError):
         TrainConfig(stage=1, lambda_txt=-0.1)
+    with pytest.raises(TrainerError, match="seed must be >= 0"):
+        TrainConfig(stage=1, seed=-1)
 
 
 def test_stage_defaults():
