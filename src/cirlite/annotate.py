@@ -338,11 +338,13 @@ def judge_annotation(
     scores = []
     for i, judge in enumerate(judges):
         try:
-            score = int(judge.score(a.conclusion, target_descriptor))
+            score = judge.score(a.conclusion, target_descriptor)
         except AnnotateError:
             raise
         except Exception as exc:
             raise JudgeError(f"judge {i} failed: {exc}") from exc
+        if type(score) is not int:
+            raise JudgeError(f"judge {i} returned a score that is not an int: {score!r}")
         if not 1 <= score <= 5:
             raise JudgeError(f"judge {i} returned out-of-range score {score}")
         scores.append(score)

@@ -23,8 +23,7 @@ from . import data as data_mod
 from . import trainer as trainer_mod
 from .errors import CirliteError
 from .evaluate import evaluate_queries
-from .metrics import EvalReport, display_round
-from .model import init_params
+from .metrics import EvalReport, MetricError, display_round
 from .store import load_embeddings, write_atomic
 
 
@@ -200,19 +199,16 @@ def cmd_filter(cfg: RunConfig) -> int:
     return 0
 
 
-def _train_config(cfg: RunConfig, stage: int) -> trainer_mod.TrainConfig:
-    # Flags left unset (None) take the stage's defaults from default_config.
-    overrides = {name: getattr(cfg, name) for name in ("learning_rate", "batch_size", "epochs")
-                 if getattr(cfg, name) is not None}
+def _train_config(cfg: RunConfig) -> trainer_mod.TrainConfig:
+    # Every TrainConfig setting by name; unset ones (None) take default_config's.
+    names = [f.name for f in dataclasses.fields(trainer_mod.TrainConfig)]
     return trainer_mod.default_config(
-        stage, cfg.seed, lambda_txt=cfg.lambda_txt, lambda_info=cfg.lambda_info,
-        tau=cfg.tau, annotation_mode=cfg.annotation_mode, **overrides,
-    )
+        **{name: getattr(cfg, name) for name in names if getattr(cfg, name) is not None})
 
 
 def cmd_train(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint")
-    train_config = _train_config(cfg, cfg.stage)
+    train_config = _train_config(cfg)
     log: list = []
     if cfg.stage == 1:
         world = _load_world(cfg, with_triplets=False, with_pairs=True)
@@ -221,18 +217,12 @@ def cmd_train(cfg: RunConfig) -> int:
         world = _load_world(cfg, with_triplets=True, with_pairs=False)
         _require(cfg, "annotations")
         annotations = data_mod.load_annotations(cfg.annotations)
+        init = None  # --from-scratch: train_stage2 starts where train_stage1 would
         if cfg.init_checkpoint:
             init = trainer_mod.load_checkpoint(cfg.init_checkpoint)
             # The checkpoint owns the vocabulary: tokenization must match it.
             world = dataclasses.replace(world, vocab_size=init.vocab_size)
-        elif cfg.from_scratch:
-            init = init_params(
-                cfg.seed,
-                vocab_size=cfg.vocab_size,
-                d_img=world.embeddings.dims,
-                temperature=cfg.tau,
-            )
-        else:
+        elif not cfg.from_scratch:
             raise CirliteError(
                 "stage 2 needs --init-checkpoint (the stage-1 output) or --from-scratch"
             )
@@ -274,7 +264,7 @@ def cmd_report(cfg: RunConfig) -> int:
     _require(cfg, "report")
     try:
         report = EvalReport.from_json(Path(cfg.report).read_text(encoding="utf-8"))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, MetricError) as exc:
         raise CirliteError(f"cannot read report {cfg.report}: {exc}") from exc
     print(f"queries: {report.query_count}")
     for k in sorted(report.recall):

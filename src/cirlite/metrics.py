@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 
+from .data import check_field_types
 from .errors import CirliteError
 
 
@@ -121,6 +122,9 @@ class EvalReport:
     cirr_avg: float | None = None
 
     def __post_init__(self):
+        check_field_types(self, MetricError, "report")
+        if self.cirr_avg is not None:
+            _check_percent("cirr_avg", self.cirr_avg)
         for k, value in self.recall.items():
             _check_percent(f"recall@{k}", value)
         for k, value in self.subset_recall.items():

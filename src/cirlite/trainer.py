@@ -18,12 +18,12 @@ annotated triplets with the combined objective.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, make_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import EOS_TOKEN, SynthWorld, batch_iter, tokenize
+from .data import EOS_TOKEN, SynthWorld, batch_iter, check_field_types, tokenize
 from .errors import CirliteError
 from .model import (
     PARAM_FIELDS,
@@ -40,8 +40,8 @@ from .store import lookup, write_atomic, write_jsonl
 
 CHECKPOINT_VERSION = 1
 
-STAGE1_DEFAULTS = dict(epochs=2, batch_size=32, learning_rate=0.05)
-STAGE2_DEFAULTS = dict(epochs=20, batch_size=32, learning_rate=0.05)
+STAGE1_DEFAULTS = dict(epochs=2)
+STAGE2_DEFAULTS = dict(epochs=20)
 
 
 class TrainerError(CirliteError):
@@ -72,6 +72,7 @@ class TrainConfig:
     annotation_mode: str = "full"
 
     def __post_init__(self):
+        check_field_types(self, TrainerError, "train config")
         if self.stage not in (1, 2):
             raise TrainerError(f"stage must be 1 or 2, got {self.stage}")
         if self.learning_rate <= 0:
@@ -239,10 +240,8 @@ def combined_loss(l_txt, l_info, lambda_txt, lambda_info) -> float:
 
 def batch_loss(p: ParamSet, batch, config: TrainConfig):
     """Forward pass plus both losses; returns (combined, l_txt, l_info)."""
-    q_mat, t_mat, _, trace = forward_batch(p, batch)
-    l_txt = _ce_exps(trace.logits, trace.row_of_pos, trace.targets_flat)[0]
-    l_info, _, _, _ = _info_nce_full(q_mat, t_mat, p.temperature)
-    return combined_loss(l_txt, l_info, config.lambda_txt, config.lambda_info), l_txt, l_info
+    losses = _stage2_step(p, batch, config)[1]
+    return losses["combined"], losses["l_txt"], losses["l_info"]
 
 
 def backward(p: ParamSet, trace: ForwardTrace, batch, config: TrainConfig) -> GradientSet:
@@ -334,8 +333,10 @@ def _text_encoder_backward(p: ParamSet, g: GradientSet, x_mean, txt, d_txt,
     g.w_txt += x_mean.T @ d_u
     g.b_txt += d_u.sum(axis=0)
     d_x = d_u @ p.w_txt.T
-    for j, toks in enumerate(tok_seqs):
-        np.add.at(g.tok_emb, np.asarray(toks, dtype=np.int64), (d_x[j] / len(toks))[None, :])
+    # One scatter in sequence order: the same sums as one per sequence.
+    lengths = np.array([len(toks) for toks in tok_seqs])
+    ids = np.array([tok for toks in tok_seqs for tok in toks], dtype=np.int64)
+    np.add.at(g.tok_emb, ids, np.repeat(d_x / lengths[:, None], lengths, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -519,17 +520,34 @@ def _loop_seed(seed: int, stage: int, epoch: int) -> int:
     return (seed * 1_000_003 + stage * 1_009 + epoch) & 0x7FFFFFFF
 
 
-def _log(loss_log, **entry):
-    if loss_log is not None:
-        loss_log.append(entry)
+def _initial_params(world: SynthWorld, config: TrainConfig, init: ParamSet | None) -> ParamSet:
+    """init, or else both stages' seeded initialization sized to the world."""
+    return init if init is not None else init_params(
+        config.seed, vocab_size=world.vocab_size, d_img=world.embeddings.dims,
+        temperature=config.tau)
 
 
-def _stage1_gradients(p: ParamSet, batch):
-    """InfoNCE over encoded (premise, positive) token pairs, and its gradient.
+def _train(p: ParamSet, items, config: TrainConfig, step, loss_log) -> ParamSet:
+    """SGD over seeded shuffles of items. step(p, batch, config) returns
+    (gradients, the log entry's losses, a trace to keep through the update)."""
+    for epoch in range(config.epochs):
+        for index, batch in enumerate(
+            batch_iter(items, config.batch_size, _loop_seed(config.seed, config.stage, epoch))
+        ):
+            grads, losses, trace = step(p, batch, config)
+            p = sgd_step(p, grads, config.learning_rate)
+            # Drop the trace (rows x vocab logits) and gradients after the
+            # update, before the next forward allocates its own; held across
+            # steps, they fragment the heap and raise peak RSS.
+            del grads, trace
+            if loss_log is not None:
+                loss_log.append(dict(stage=config.stage, epoch=epoch, step=index, **losses))
+    return p
 
-    Only the text encoder's tensors get nonzero gradients. Returns
-    (l_info, GradientSet).
-    """
+
+def _stage1_gradients(p: ParamSet, batch, config: TrainConfig):
+    """Stage 1's step: InfoNCE over encoded (premise, positive) token pairs.
+    Only the text encoder's tensors get nonzero gradients; config is unused."""
     tok_seqs = [prem for prem, _ in batch] + [pos for _, pos in batch]
     x_mean = np.stack([pool_tokens(p, toks) for toks in tok_seqs])
     enc = text_block(p, x_mean)
@@ -537,7 +555,15 @@ def _stage1_gradients(p: ParamSet, batch):
     l_info, d_prem, d_pos = info_nce(enc[:n], enc[n:], p.temperature)
     g = _zero_grads(p)
     _text_encoder_backward(p, g, x_mean, enc, np.concatenate([d_prem, d_pos]), tok_seqs)
-    return l_info, g
+    return g, dict(l_txt=0.0, l_info=l_info, combined=l_info), None
+
+
+def _stage2_step(p: ParamSet, batch, config: TrainConfig):
+    """Stage 2's step: the combined objective's gradients, losses and trace."""
+    _, _, _, trace = forward_batch(p, batch)
+    grads, l_txt, l_info = _backward_with_losses(p, trace, batch, config)
+    combined = combined_loss(l_txt, l_info, config.lambda_txt, config.lambda_info)
+    return grads, dict(l_txt=l_txt, l_info=l_info, combined=combined), trace
 
 
 def train_stage1(world: SynthWorld, config: TrainConfig, *,
@@ -551,12 +577,6 @@ def train_stage1(world: SynthWorld, config: TrainConfig, *,
         raise TrainerError(f"train_stage1 got a stage-{config.stage} config")
     if not world.nli_pairs:
         raise TrainerError("no text pairs to train on")
-    p = init if init is not None else init_params(
-        config.seed,
-        vocab_size=world.vocab_size,
-        d_img=world.embeddings.dims,
-        temperature=config.tau,
-    )
     token_pairs = []
     for i, (premise, positive) in enumerate(world.nli_pairs):
         prem = tokenize(premise, world.vocab_size)
@@ -564,16 +584,8 @@ def train_stage1(world: SynthWorld, config: TrainConfig, *,
         if not prem or not pos:
             raise TrainerError(f"text pair {i} tokenizes to an empty sequence")
         token_pairs.append((prem, pos))
-
-    for epoch in range(config.epochs):
-        for step, batch in enumerate(
-            batch_iter(token_pairs, config.batch_size, _loop_seed(config.seed, 1, epoch))
-        ):
-            l_info, grads = _stage1_gradients(p, batch)
-            p = sgd_step(p, grads, config.learning_rate)
-            _log(loss_log, stage=1, epoch=epoch, step=step,
-                 l_txt=0.0, l_info=l_info, combined=l_info)
-    return p
+    return _train(_initial_params(world, config, init), token_pairs, config,
+                  _stage1_gradients, loss_log)
 
 
 def supervision_text(annotation, mode: str) -> str:
@@ -609,58 +621,50 @@ def build_training_items(world: SynthWorld, annotations, mode: str) -> list[Batc
     return items
 
 
-def train_stage2(world: SynthWorld, annotations, init: ParamSet,
+def train_stage2(world: SynthWorld, annotations, init: ParamSet | None,
                  config: TrainConfig, *, loss_log: list | None = None) -> ParamSet:
-    """Full-parameter training with the combined objective. Deterministic."""
+    """Full-parameter training with the combined objective. Deterministic.
+    Without init, starts where train_stage1 would."""
     if config.stage != 2:
         raise TrainerError(f"train_stage2 got a stage-{config.stage} config")
     items = build_training_items(world, annotations, config.annotation_mode)
-    p = init
-    for epoch in range(config.epochs):
-        for step, batch in enumerate(
-            batch_iter(items, config.batch_size, _loop_seed(config.seed, 2, epoch))
-        ):
-            _, _, _, trace = forward_batch(p, batch)
-            grads, l_txt, l_info = _backward_with_losses(p, trace, batch, config)
-            p = sgd_step(p, grads, config.learning_rate)
-            # Drop this step's trace (rows x vocab logits) and gradients
-            # before the next forward allocates its own; held across steps,
-            # they fragment the heap and raise peak RSS.
-            del trace, grads
-            _log(loss_log, stage=2, epoch=epoch, step=step, l_txt=l_txt,
-                 l_info=l_info,
-                 combined=combined_loss(l_txt, l_info,
-                                        config.lambda_txt, config.lambda_info))
-    return p
+    return _train(_initial_params(world, config, init), items, config,
+                  _stage2_step, loss_log)
 
 
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _CheckpointHeader:
+    """The JSON header line of a checkpoint file."""
+
+    version: int
+    vocab_size: int
+    d_tok: int
+    d_img: int
+    d_joint: int
+    d_hidden: int
+    temperature: float
+    seed: int | None
+
+
 def save_checkpoint(p: ParamSet, path, *, seed: int | None = None) -> None:
     """Write a checkpoint: one JSON header line, then float32 LE blocks in
     PARAM_FIELDS order. Deterministic bytes for identical parameters; the
     file is replaced atomically, so a failed write leaves any earlier one."""
-    header = {
-        "version": CHECKPOINT_VERSION,
-        "vocab_size": p.vocab_size,
-        "d_tok": p.d_tok,
-        "d_img": p.d_img,
-        "d_joint": p.d_joint,
-        "d_hidden": p.d_hidden,
-        "temperature": p.temperature,
-        "seed": seed,
-    }
-    blob = bytearray(json.dumps(header, sort_keys=True).encode("utf-8"))
+    header = _CheckpointHeader(CHECKPOINT_VERSION, p.vocab_size, p.d_tok, p.d_img,
+                               p.d_joint, p.d_hidden, p.temperature, seed)
+    blob = bytearray(json.dumps(asdict(header), sort_keys=True).encode("utf-8"))
     blob += b"\n"
     for name in PARAM_FIELDS:
         blob += np.ascontiguousarray(getattr(p, name), dtype="<f4").tobytes()
     write_atomic(path, bytes(blob))
 
 
-def _read_checkpoint(path) -> tuple[dict, bytes]:
-    """Split a checkpoint file into its parsed JSON header and payload bytes."""
+def _read_checkpoint(path) -> tuple[_CheckpointHeader, bytes]:
+    """Split a checkpoint file into its checked JSON header and payload bytes."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -670,28 +674,33 @@ def _read_checkpoint(path) -> tuple[dict, bytes]:
         raise CheckpointError(f"checkpoint {path} has no header line")
     try:
         header = json.loads(data[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an int past Python's digit limit
         raise CheckpointError(f"checkpoint {path} header is malformed: {exc}") from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"checkpoint {path} header is not a JSON object")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint {path} has version {header.get('version')!r}, "
+            f"expected {CHECKPOINT_VERSION}"
+        )
+    # A missing field reads as null, which only the seed may be.
+    header = _CheckpointHeader(**{f.name: header.get(f.name) for f in fields(_CheckpointHeader)})
+    check_field_types(header, CheckpointError, f"checkpoint {path} header")
+    for name in ("vocab_size", "d_tok", "d_img", "d_joint", "d_hidden"):
+        if getattr(header, name) < 1:
+            raise CheckpointError(f"checkpoint {path} header: {name} must be >= 1")
     return header, data[newline + 1:]
 
 
 def load_checkpoint(path) -> ParamSet:
     """Load and validate a checkpoint written by save_checkpoint."""
     header, payload = _read_checkpoint(path)
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint {path} has version {header.get('version')}, "
-            f"expected {CHECKPOINT_VERSION}"
-        )
     try:
-        shapes = param_shapes(header["vocab_size"], header["d_tok"], header["d_img"],
-                              header["d_joint"], header["d_hidden"])
-        temperature = float(header["temperature"])
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"checkpoint {path} header incomplete: {exc}") from exc
-
+        temperature = float(header.temperature)
+    except OverflowError as exc:
+        raise CheckpointError(f"checkpoint {path} header: temperature {exc}") from exc
+    shapes = param_shapes(header.vocab_size, header.d_tok, header.d_img,
+                          header.d_joint, header.d_hidden)
     total = sum(int(np.prod(shape)) for shape in shapes.values())
     if len(payload) != 4 * total:
         raise CheckpointError(
@@ -713,7 +722,7 @@ def load_checkpoint(path) -> ParamSet:
 
 def checkpoint_seed(path) -> int | None:
     """Read back the seed recorded in a checkpoint header."""
-    return _read_checkpoint(path)[0].get("seed")
+    return _read_checkpoint(path)[0].seed
 
 
 def write_loss_log(entries, path) -> None:

@@ -215,6 +215,18 @@ def test_out_of_range_judge_rejected():
         judge_annotation(annotation(), "target", [Eleven()])
 
 
+@pytest.mark.parametrize("score", [4.7, True, "5"])
+def test_judge_score_that_is_not_int_rejected(score):
+    # A library judge's score is not truncated or converted: 4.7 is not 4,
+    # True is not 1 and "5" is not 5.
+    class Loose:
+        def score(self, conclusion, target):
+            return score
+
+    with pytest.raises(JudgeError, match="judge 1 returned a score that is not an int"):
+        judge_annotation(annotation(), "target", [MockJudge(0), Loose()])
+
+
 def test_good_conclusion_outscores_bad():
     judge = MockJudge(0)
     good = judge.score("item with round red", "item with round red")

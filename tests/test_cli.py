@@ -167,6 +167,27 @@ def test_eval_checkpoint_header_not_object_exits_1(world_dir, tmp_path, capsys):
     assert "not a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change", [
+    {"vocab_size": 16.0}, {"d_hidden": None}, {"d_hidden": ["x"]}, {"temperature": "0.07"},
+])
+def test_eval_checkpoint_header_field_of_wrong_type_exits_1(world_dir, tmp_path, capsys,
+                                                            change):
+    from cirlite.model import init_params
+    from cirlite.trainer import save_checkpoint
+
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(init_params(0, vocab_size=512, d_img=16), path, seed=0)
+    data = path.read_bytes()
+    newline = data.index(b"\n")
+    header = {**json.loads(data[:newline]), **change}
+    path.write_bytes(json.dumps(header).encode() + data[newline:])
+    code = main(["eval", "--checkpoint", str(path), "--embeddings", world_dir["embeddings"],
+                 "--triplets", world_dir["eval"], "--report", str(tmp_path / "r.json")])
+    assert code == 1
+    assert f"header: {next(iter(change))} must be" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_eval_failed_report_write_keeps_previous_report(world_dir, tmp_path, monkeypatch,
                                                        capsys):
     from cirlite.model import init_params
@@ -267,6 +288,10 @@ def test_malformed_field_exits_1(world_dir, tmp_path, capsys, command, change):
     '"subset_query_count": 0, "cirr_avg": null}\n',
     '{"query_count": 1, "recall": {"x": 50.0}, "subset_recall": {}, "map_at": {}, '
     '"subset_query_count": 0, "cirr_avg": null}\n',
+    *(json.dumps({"query_count": 2, "recall": {"5": 50.0}, "subset_recall": {"1": 50.0},
+                  "map_at": {}, "subset_query_count": 2, "cirr_avg": 50.0, **change})
+      for change in ({"cirr_avg": "x"}, {"cirr_avg": []}, {"cirr_avg": {}},
+                     {"cirr_avg": 250.0}, {"query_count": "x"}, {"subset_query_count": True})),
 ])
 def test_report_malformed_document_exits_1(tmp_path, capsys, text):
     (tmp_path / "r.json").write_text(text)
@@ -348,6 +373,33 @@ def test_train_seed_recorded_in_checkpoint(world_dir, tmp_path):
     assert checkpoint_seed(ck) == 42
 
 
+def test_from_scratch_checkpoint_is_stage2_from_stage1_initialization(world_dir, tmp_path):
+    # --from-scratch starts stage 2 where train_stage1 would: init_params of
+    # the seed, the vocabulary, the embedding dims and --tau.
+    from cirlite.data import SynthWorld, load_triplets
+    from cirlite.model import init_params
+    from cirlite.store import load_embeddings
+    from cirlite.trainer import default_config, save_checkpoint, train_stage2
+
+    main(["annotate", "--triplets", world_dir["train"],
+          "--annotations", str(tmp_path / "ann.jsonl"), "--mock", "--seed", "5"])
+    main(["filter", "--annotations", str(tmp_path / "ann.jsonl"),
+          "--accepted", str(tmp_path / "acc.jsonl"),
+          "--rejected", str(tmp_path / "rej.jsonl")])
+    assert main(["train", "--stage", "2", "--embeddings", world_dir["embeddings"],
+                 "--triplets", world_dir["train"], "--annotations", str(tmp_path / "acc.jsonl"),
+                 "--from-scratch", "--epochs", "1", "--seed", "5", "--tau", "0.05",
+                 "--vocab-size", "512", "--checkpoint", str(tmp_path / "cli.ckpt")]) == 0
+    embeddings = load_embeddings(world_dir["embeddings"])
+    world = SynthWorld(embeddings=embeddings, triplets=load_triplets(world_dir["train"]),
+                       nli_pairs=[], vocab_size=512)
+    config = default_config(2, seed=5, epochs=1, tau=0.05)
+    init = init_params(5, vocab_size=512, d_img=embeddings.dims, temperature=0.05)
+    params = train_stage2(world, load_annotations(tmp_path / "acc.jsonl"), init, config)
+    save_checkpoint(params, tmp_path / "api.ckpt", seed=5)
+    assert (tmp_path / "cli.ckpt").read_bytes() == (tmp_path / "api.ckpt").read_bytes()
+
+
 def test_fast_mode_trains_on_fewer_tokens(world_dir, tmp_path):
     from cirlite.data import SynthWorld, load_triplets
     from cirlite.store import load_embeddings
@@ -373,6 +425,19 @@ def test_fast_mode_trains_on_fewer_tokens(world_dir, tmp_path):
 # ---------------------------------------------------------------------------
 # Config resolution
 # ---------------------------------------------------------------------------
+
+def test_train_config_takes_every_training_setting_by_name():
+    import dataclasses
+
+    from cirlite.cli import RunConfig, _train_config
+
+    cfg = RunConfig(stage=1, learning_rate=0.2, batch_size=8, lambda_txt=0.5, lambda_info=2.0,
+                    tau=0.1, seed=7, annotation_mode="fast")
+    assert dataclasses.asdict(_train_config(cfg)) == {
+        "stage": 1, "learning_rate": 0.2, "batch_size": 8, "epochs": 2, "lambda_txt": 0.5,
+        "lambda_info": 2.0, "tau": 0.1, "seed": 7, "annotation_mode": "fast"}
+    assert _train_config(RunConfig(stage=2, epochs=3)).epochs == 3
+
 
 def test_print_config_dumps_resolved_json(world_dir, capsys):
     code = main(["eval", "--print-config", "--seed", "9",

@@ -3,8 +3,10 @@ optimizer algebra, training determinism, checkpoint format."""
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from cirlite.trainer import (
     _infonce_loss_only,
     _make_loss_fn,
     _stage1_gradients,
+    _text_encoder_backward,
     backward,
     batch_loss,
     central_difference,
@@ -39,6 +42,7 @@ from cirlite.trainer import (
     sgd_step,
     train_stage1,
     train_stage2,
+    write_loss_log,
 )
 
 SMALL = dict(vocab_size=16, d_tok=4, d_img=6, d_joint=5, d_hidden=3)
@@ -548,6 +552,28 @@ def test_backward_losses_equal_batch_loss_bitwise():
             assert (bw_txt, bw_info) == (l_txt, l_info)
 
 
+def test_text_encoder_backward_equals_per_sequence_scatter_bitwise():
+    # One scatter over the concatenated token ids adds in the same order as
+    # one scatter per sequence, also where tokens repeat within and across
+    # sequences. tok_emb starts nonzero so that a reordered sum shows.
+    p = small_params(15)
+    rng = np.random.default_rng(15)
+    tok_seqs = [[3, 3, 5], [5], [3, 7, 3, 3], (7, 5)]
+    n = len(tok_seqs)
+    x_mean = rng.standard_normal((n, p.d_tok))
+    txt = np.tanh(rng.standard_normal((n, p.d_joint)))
+    d_txt = rng.standard_normal((n, p.d_joint))
+    start = rng.standard_normal(p.tok_emb.shape)
+    g = zero_grads_like(p)
+    g.tok_emb = start.copy()
+    _text_encoder_backward(p, g, x_mean, txt, d_txt, tok_seqs)
+    expected = start.copy()
+    d_x = (d_txt * (1.0 - txt ** 2)) @ p.w_txt.T
+    for j, toks in enumerate(tok_seqs):
+        np.add.at(expected, np.asarray(toks, dtype=np.int64), (d_x[j] / len(toks))[None, :])
+    np.testing.assert_array_equal(g.tok_emb, expected)
+
+
 def test_stage1_gradient_check():
     # Stage 1's text-encoder backprop against central differences of an
     # independent encoding plus the oracle's InfoNCE; other tensors stay zero.
@@ -558,7 +584,7 @@ def test_stage1_gradient_check():
               for _ in range(2))
         for _ in range(5)
     ]
-    _, analytic = _stage1_gradients(p, batch)
+    analytic, _, _ = _stage1_gradients(p, batch, TrainConfig(stage=1))
     tensors = {name: getattr(p, name).copy() for name in ("tok_emb", "w_txt", "b_txt")}
 
     def loss():
@@ -666,9 +692,29 @@ def test_config_validation():
         TrainConfig(stage=1, seed=-1)
 
 
+@pytest.mark.parametrize("change", [
+    {"epochs": 2.5}, {"batch_size": True}, {"learning_rate": "0.1"}, {"lambda_txt": None},
+    {"stage": 2.0}, {"seed": "1"}, {"tau": [0.07]}, {"annotation_mode": 1},
+])
+def test_config_field_of_wrong_type_rejected(change):
+    with pytest.raises(TrainerError, match=f"{next(iter(change))} must be"):
+        TrainConfig(**{"stage": 2, **change})
+
+
+def test_config_int_for_float_accepted():
+    config = TrainConfig(stage=2, learning_rate=1, lambda_txt=0, tau=1)
+    assert (config.learning_rate, config.lambda_txt, config.tau) == (1, 0, 1)
+
+
 def test_stage_defaults():
     assert default_config(1).epochs == 2
     assert default_config(2).epochs == 20
+    # Learning rate and batch size are TrainConfig's own defaults.
+    assert trainer_mod.STAGE1_DEFAULTS == {"epochs": 2}
+    assert trainer_mod.STAGE2_DEFAULTS == {"epochs": 20}
+    for stage in (1, 2):
+        assert default_config(stage).learning_rate == TrainConfig(stage=stage).learning_rate
+        assert default_config(stage).batch_size == TrainConfig(stage=stage).batch_size
 
 
 # ---------------------------------------------------------------------------
@@ -784,6 +830,71 @@ def test_stage2_logs_both_loss_components(tiny_world, tiny_accepted):
     assert log and all({"l_txt", "l_info", "combined"} <= set(e) for e in log)
 
 
+def test_stage2_without_init_starts_where_stage1_would(tiny_world, tiny_accepted):
+    config = default_config(2, seed=4, epochs=1, tau=0.05)
+    init = init_params(config.seed, vocab_size=tiny_world.vocab_size,
+                       d_img=tiny_world.embeddings.dims, temperature=config.tau)
+    log_none, log_init = [], []
+    fresh = train_stage2(tiny_world, tiny_accepted, None, config, loss_log=log_none)
+    given = train_stage2(tiny_world, tiny_accepted, init, config, loss_log=log_init)
+    for name in PARAM_FIELDS:
+        np.testing.assert_array_equal(getattr(fresh, name), getattr(given, name))
+    assert fresh.temperature == given.temperature == 0.05
+    assert log_none == log_init
+
+
+# sha256 of a tiny-world stage-1 then stage-2 run, taken before both stages
+# shared one training loop: the loop must not change a bit of either.
+_GOLDEN = {
+    "s1.ckpt": "9ee54770c002393a5f2a6388a2ab3b34dc3cf2b8d01367e9a35704e7211e7ae9",
+    "s1.jsonl": "19f6a5477f05c13a685ce2e77bb90c489afcd185e2518ea4d149fc664828e11d",
+    "s2.ckpt": "f3eb1c3fa09ef85c55bb039209736e153fef6e9a097187c88e7621d8aafea19f",
+    "s2.jsonl": "78391a9b68c9c3e4a6d3c307c9b0eaa717d4df02bea2627e054d55af693639c4",
+}
+
+
+def test_two_stage_training_matches_golden_bytes(tiny_world, tiny_accepted, tmp_path):
+    log1, log2 = [], []
+    p1 = train_stage1(tiny_world, default_config(1, seed=3), loss_log=log1)
+    p2 = train_stage2(tiny_world, tiny_accepted, p1, default_config(2, seed=3, epochs=2),
+                      loss_log=log2)
+    save_checkpoint(p1, tmp_path / "s1.ckpt", seed=3)
+    write_loss_log(log1, tmp_path / "s1.jsonl")
+    save_checkpoint(p2, tmp_path / "s2.ckpt", seed=3)
+    write_loss_log(log2, tmp_path / "s2.jsonl")
+    assert (len(log1), len(log2)) == (6, 4)
+    assert all(e["l_txt"] == 0.0 and e["combined"] == e["l_info"] for e in log1)
+    hashes = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in _GOLDEN}
+    assert hashes == _GOLDEN
+
+
+def test_benchmark_tracer_sees_every_training_step(tiny_world, tiny_accepted):
+    # The benchmark's traced mode wraps trainer.sgd_step, forward_batch and
+    # _backward_with_losses by name, so the training loop and the stage-2
+    # step must look them up at call time.
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer(0.0)
+    log1, log2 = [], []
+    tracer.install()
+    try:
+        p = trainer_mod.train_stage1(tiny_world, default_config(1, seed=0, epochs=1),
+                                     loss_log=log1)
+        trainer_mod.train_stage2(tiny_world, tiny_accepted, p,
+                                 default_config(2, seed=0, epochs=1), loss_log=log2)
+    finally:
+        tracer.uninstall()
+    assert log1 and log2
+    spans = [span[0] for span in tracer.spans]
+    assert spans.count("trainer.stage1") == spans.count("trainer.stage2") == 1
+    assert spans.count("trainer.sgd_step") == len(log1) + len(log2)
+    assert spans.count("model.forward_batch") == len(log2)
+    assert spans.count("trainer.backward") == len(log2)
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
@@ -875,6 +986,49 @@ def test_checkpoint_header_not_object(tmp_path):
     for read in (load_checkpoint, checkpoint_seed):
         with pytest.raises(CheckpointError, match="not a JSON object"):
             read(path)
+
+
+@pytest.mark.parametrize("change", [
+    {"vocab_size": 16.0}, {"d_tok": None}, {"d_img": ["x"]}, {"d_joint": 0},
+    {"d_hidden": -1}, {"d_hidden": True}, {"version": 1.0}, {"temperature": "0.07"},
+    {"temperature": True}, {"seed": "x"}, {"seed": 1.5},
+])
+def test_checkpoint_header_field_of_wrong_type(tmp_path, change):
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(small_params(3), path, seed=3)
+    data = path.read_bytes()
+    newline = data.index(b"\n")
+    header = {**json.loads(data[:newline]), **change}
+    path.write_bytes(json.dumps(header).encode() + data[newline:])
+    for read in (load_checkpoint, checkpoint_seed):
+        with pytest.raises(CheckpointError, match=f"header: {next(iter(change))} must be"):
+            read(path)
+
+
+@pytest.mark.parametrize("temperature, message", [
+    ("1" + "0" * 400, "temperature int too large"), ("1" + "0" * 5000, "header is malformed"),
+])
+def test_checkpoint_header_huge_int_temperature(tmp_path, temperature, message):
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(small_params(3), path)
+    data = path.read_bytes()
+    newline = data.index(b"\n")
+    header = data[:newline].replace(b'"temperature": 0.07', b'"temperature": ' + temperature.encode())
+    path.write_bytes(header + data[newline:])
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+def test_checkpoint_header_int_temperature_and_null_seed_load(tmp_path):
+    path = tmp_path / "p.ckpt"
+    p = dataclasses.replace(small_params(3), temperature=1.0)
+    save_checkpoint(p, path)
+    data = path.read_bytes()
+    newline = data.index(b"\n")
+    header = {**json.loads(data[:newline]), "temperature": 1}
+    path.write_bytes(json.dumps(header).encode() + data[newline:])
+    assert load_checkpoint(path).temperature == 1.0
+    assert checkpoint_seed(path) is None
 
 
 def test_batch_loss_components(tmp_path):
