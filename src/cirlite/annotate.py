@@ -25,6 +25,7 @@ from typing import Protocol
 
 from .data import CoTAnnotation, Triplet
 from .errors import CirliteError
+from .store import parse_json
 
 CAPTION_MARKER = "[CAPTION]"
 REASONING_MARKER = "[REASONING]"
@@ -301,10 +302,10 @@ RETRY_CAP_S = 1.0
 def _post_json(endpoint: str, payload: dict, timeout: float, retries: int) -> dict:
     """POST payload as JSON and parse the JSON reply.
 
-    Connection errors, HTTP 5xx, 408, 429 and unparseable replies are
-    retried up to `retries` times, after a growing wait; any other HTTP 4xx
-    means the request itself is wrong, so it fails at once. Every failure
-    raises EndpointError.
+    Connection errors, HTTP 5xx, 408, 429 and replies that are not a UTF-8
+    JSON object are retried up to `retries` times, after a growing wait; any
+    other HTTP 4xx means the request itself is wrong, so it fails at once.
+    Every failure raises EndpointError.
     """
     body = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(
@@ -316,14 +317,17 @@ def _post_json(endpoint: str, payload: dict, timeout: float, retries: int) -> di
             time.sleep(min(RETRY_CAP_S, RETRY_BASE_S * 2 ** (attempt - 1)))
         try:
             with urllib.request.urlopen(request, timeout=timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
+                reply = parse_json(response.read(), EndpointError, "reply")
+            if isinstance(reply, dict):
+                return reply
+            last_error = EndpointError(f"reply is not a JSON object: {reply!r:.80}")
         except urllib.error.HTTPError as exc:
             if 400 <= exc.code < 500 and exc.code not in _RETRIED_4XX:
                 raise EndpointError(
                     f"endpoint {endpoint} rejected the request: HTTP {exc.code} {exc.reason}"
                 ) from exc
             last_error = exc
-        except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
+        except (urllib.error.URLError, OSError, EndpointError) as exc:
             last_error = exc
     raise EndpointError(f"endpoint {endpoint} failed: {last_error}") from last_error
 

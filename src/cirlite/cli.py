@@ -24,7 +24,7 @@ from . import trainer as trainer_mod
 from .errors import CirliteError
 from .evaluate import evaluate_queries
 from .metrics import EvalReport, MetricError, display_round
-from .store import load_embeddings, write_atomic
+from .store import check_field_types, load_embeddings, parse_json, read_record, write_atomic
 
 
 @dataclass
@@ -70,7 +70,7 @@ class RunConfig:
     map_k_list: list[int] = dataclasses.field(default_factory=lambda: [5, 10, 25, 50])
 
     def __post_init__(self):
-        data_mod.check_field_types(self, CirliteError, "config")
+        check_field_types(self, CirliteError, "config")
         for name in ("k_list", "subset_k_list", "map_k_list"):
             values = getattr(self, name)
             if not values or any(v < 1 for v in values) or sorted(set(values)) != values:
@@ -79,7 +79,7 @@ class RunConfig:
                 )
 
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -92,26 +92,25 @@ def _parse_int_list(text: str) -> list[int]:
         ) from None
 
 
+# How a flag parses its value, by the annotation of its RunConfig field.
+_FLAG_PARSERS = {"int": dict(type=int), "float": dict(type=float), "str": {},
+                 "bool": dict(action="store_const", const=True),
+                 "list[int]": dict(type=_parse_int_list), "list[str]": dict(nargs="+")}
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then the JSON config file, then explicit flags."""
-    values: dict = {}
+    cfg = RunConfig()
     config_path = getattr(args, "config", None)
     if config_path:
         try:
-            loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            raw = Path(config_path).read_bytes()
+        except OSError as exc:
             raise CirliteError(f"cannot read config {config_path}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise CirliteError(f"config {config_path} is not a JSON object")
-        unknown = set(loaded) - _CONFIG_FIELDS
-        if unknown:
-            raise CirliteError(f"unknown config keys: {sorted(unknown)}")
-        values.update(loaded)
-    for name in _CONFIG_FIELDS:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-    return RunConfig(**values)
+        where = str(config_path)
+        cfg = read_record(RunConfig, parse_json(raw, CirliteError, where), CirliteError, where)
+    return dataclasses.replace(cfg, **{name: value for name in _FIELD_TYPES
+                                       if (value := getattr(args, name, None)) is not None})
 
 
 def _require(cfg: RunConfig, *names: str) -> None:
@@ -278,13 +277,23 @@ def cmd_report(cfg: RunConfig) -> int:
     return 0
 
 
+# Each command: its handler, its help line, and the RunConfig fields it takes
+# as flags (besides --seed).
 _COMMANDS = {
-    "ingest": cmd_ingest,
-    "annotate": cmd_annotate,
-    "filter": cmd_filter,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "report": cmd_report,
+    "ingest": (cmd_ingest, "validate embeddings and triplets", ("embeddings", "triplets")),
+    "annotate": (cmd_annotate, "generate and judge annotations",
+                 ("triplets", "annotations", "mock", "n_judges", "generator_endpoint",
+                  "judge_endpoints", "endpoint_timeout", "endpoint_retries")),
+    "filter": (cmd_filter, "partition annotations by judge scores",
+               ("annotations", "accepted", "rejected", "mean_threshold", "max_range")),
+    "train": (cmd_train, "run one training stage",
+              ("stage", "embeddings", "triplets", "nli_pairs", "annotations", "checkpoint",
+               "init_checkpoint", "from_scratch", "loss_log", "learning_rate", "batch_size",
+               "epochs", "lambda_txt", "lambda_info", "tau", "annotation_mode", "vocab_size")),
+    "eval": (cmd_eval, "rank the gallery and write the report",
+             ("checkpoint", "embeddings", "triplets", "report", "ranked_out", "k_list",
+              "subset_k_list", "map_k_list")),
+    "report": (cmd_report, "pretty-print an evaluation report", ("report",)),
 }
 
 
@@ -294,57 +303,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desk-scale composed image retrieval pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, *names: str):
+    for command, (_, help_text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--print-config", action="store_true",
                        help="print the resolved config and exit")
-        p.add_argument("--seed", type=int, default=None)
-        for name in names:
-            flag = "--" + name.replace("_", "-")
-            if name in ("stage", "batch_size", "epochs", "n_judges", "max_range",
-                        "vocab_size", "endpoint_retries"):
-                p.add_argument(flag, type=int, default=None, dest=name)
-            elif name in ("learning_rate", "lambda_txt", "lambda_info", "tau",
-                          "mean_threshold", "endpoint_timeout"):
-                p.add_argument(flag, type=float, default=None, dest=name)
-            elif name in ("mock", "from_scratch"):
-                p.add_argument(flag, action="store_const", const=True,
-                               default=None, dest=name)
-            elif name in ("k_list", "subset_k_list", "map_k_list"):
-                p.add_argument(flag, type=_parse_int_list, default=None, dest=name)
-            elif name == "judge_endpoints":
-                p.add_argument(flag, nargs="+", default=None, dest=name)
-            elif name == "annotation_mode":
-                p.add_argument(flag, choices=("full", "fast"), default=None, dest=name)
-            else:
-                p.add_argument(flag, default=None, dest=name)
-
-    p = sub.add_parser("ingest", help="validate embeddings and triplets")
-    add_common(p, "embeddings", "triplets")
-
-    p = sub.add_parser("annotate", help="generate and judge annotations")
-    add_common(p, "triplets", "annotations", "mock", "n_judges",
-               "generator_endpoint", "judge_endpoints", "endpoint_timeout",
-               "endpoint_retries")
-
-    p = sub.add_parser("filter", help="partition annotations by judge scores")
-    add_common(p, "annotations", "accepted", "rejected", "mean_threshold",
-               "max_range")
-
-    p = sub.add_parser("train", help="run one training stage")
-    add_common(p, "stage", "embeddings", "triplets", "nli_pairs", "annotations",
-               "checkpoint", "init_checkpoint", "from_scratch", "loss_log",
-               "learning_rate", "batch_size", "epochs", "lambda_txt",
-               "lambda_info", "tau", "annotation_mode", "vocab_size")
-
-    p = sub.add_parser("eval", help="rank the gallery and write the report")
-    add_common(p, "checkpoint", "embeddings", "triplets", "report",
-               "ranked_out", "k_list", "subset_k_list", "map_k_list")
-
-    p = sub.add_parser("report", help="pretty-print an evaluation report")
-    add_common(p, "report")
-
+        for name in ("seed", *names):
+            kwargs = dict(_FLAG_PARSERS[_FIELD_TYPES[name].removesuffix(" | None")])
+            if name == "annotation_mode":
+                kwargs["choices"] = ("full", "fast")
+            p.add_argument("--" + name.replace("_", "-"), default=None, dest=name, **kwargs)
     return parser
 
 
@@ -356,7 +324,7 @@ def main(argv=None) -> int:
         if getattr(args, "print_config", False):
             print(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True))
             return 0
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (CirliteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

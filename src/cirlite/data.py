@@ -8,15 +8,15 @@ Triplets and annotations travel as JSONL, one object per line.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CirliteError
-from .store import MANIFEST_FILENAME, EmbeddingMatrix, save_embeddings, write_jsonl
+from .store import (MANIFEST_FILENAME, EmbeddingMatrix, check_field_types, parse_json,
+                    read_record, save_embeddings, write_jsonl)
 
 DEFAULT_VOCAB = 4096
 
@@ -35,30 +35,6 @@ _ATTR_WORDS = [
 
 class DatasetError(CirliteError):
     """Malformed triplet, annotation, or generator parameters."""
-
-
-# Value checks for dataclass fields by annotation; the annotations are
-# strings under the __future__ import. Fields annotated otherwise are checked
-# by hand. A bool is not an int, and an int is a float.
-_IS_TYPE = {
-    "str": lambda v: isinstance(v, str),
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "bool": lambda v: isinstance(v, bool),
-    "list[str]": lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
-    "list[int]": lambda v: isinstance(v, list) and all(_IS_TYPE["int"](s) for s in v),
-}
-
-
-def check_field_types(record, error: type[CirliteError], where: str) -> None:
-    """Raise error, prefixed by where, unless each checked field of the
-    dataclass record holds its annotated type (None only for `| None`)."""
-    for f in fields(record):
-        value = getattr(record, f.name)
-        optional = f.type.endswith(" | None")
-        check = _IS_TYPE.get(f.type.removesuffix(" | None"))
-        if check and not (optional and value is None) and not check(value):
-            raise error(f"{where}: {f.name} must be {f.type}, got {value!r}")
 
 
 @dataclass
@@ -128,29 +104,22 @@ class CoTAnnotation:
                 )
 
 
-def _load_jsonl(path, kind: str, make) -> list:
-    """make(record) for each non-blank JSONL line; every error names the file and line."""
+def _load_jsonl(path, kind: str, cls) -> list:
+    """One cls record per non-blank JSONL line; every error names the file and line."""
     if not Path(path).is_file():
         raise DatasetError(f"{kind} file not found: {path}")
     items = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                items.append(make(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            except KeyError as exc:
-                raise DatasetError(f"{path}:{lineno}: missing field {exc}") from exc
-            except (DatasetError, TypeError) as exc:
-                raise DatasetError(f"{path}:{lineno}: {exc}") from exc
+            if line.strip():
+                doc = parse_json(line, DatasetError, f"{path}:{lineno}: {kind}")
+                items.append(read_record(cls, doc, DatasetError, f"{path}:{lineno}"))
     return items
 
 
 def load_triplets(path) -> list[Triplet]:
     """Load triplets from JSONL, validating invariants with line numbers."""
-    return _load_jsonl(path, "triplet", lambda r: Triplet(**r))
+    return _load_jsonl(path, "triplet", Triplet)
 
 
 def write_triplets(triplets, path) -> None:
@@ -159,7 +128,7 @@ def write_triplets(triplets, path) -> None:
 
 def load_annotations(path) -> list[CoTAnnotation]:
     """Load annotations from JSONL (same validation discipline as triplets)."""
-    return _load_jsonl(path, "annotation", lambda r: CoTAnnotation(**r))
+    return _load_jsonl(path, "annotation", CoTAnnotation)
 
 
 def write_annotations(annotations, path) -> None:
@@ -378,17 +347,20 @@ def oracle_query_vector(world: SynthWorld, triplet: Triplet) -> np.ndarray:
     return world.embeddings.values[ref].astype(np.float64) + delta @ world.attr_basis
 
 
-def _nli_pair(record) -> tuple[str, str]:
-    pair = (record["premise"], record["positive"])
-    for name, text in zip(("premise", "positive"), pair):
-        if not isinstance(text, str):
-            raise DatasetError(f"{name} must be str, got {text!r}")
-    return pair
+@dataclass
+class _NLIPair:
+    """One JSONL line of premise/positive text pairs."""
+
+    premise: str
+    positive: str
+
+    def __post_init__(self):
+        check_field_types(self, DatasetError)
 
 
 def load_nli_pairs(path) -> list[tuple[str, str]]:
     """Load premise/positive text pairs from JSONL."""
-    return _load_jsonl(path, "nli pair", _nli_pair)
+    return [(r.premise, r.positive) for r in _load_jsonl(path, "nli pair", _NLIPair)]
 
 
 def write_nli_pairs(pairs, path) -> None:

@@ -17,8 +17,8 @@ import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 
-from .data import check_field_types
 from .errors import CirliteError
+from .store import check_field_types, parse_json
 
 
 class MetricError(CirliteError):
@@ -156,7 +156,7 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
-        doc = json.loads(text)
+        doc = parse_json(text, MetricError, "report")
         return cls(
             query_count=doc["query_count"],
             recall={int(k): v for k, v in doc["recall"].items()},

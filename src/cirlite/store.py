@@ -12,12 +12,13 @@ values file). File paths are relative to the manifest's directory.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import secrets
 import stat
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,6 @@ DTYPE_TAG = "f32le"
 VALUES_FILENAME = "embeddings.f32"
 IDS_FILENAME = "ids.txt"
 MANIFEST_FILENAME = "manifest.json"
-
-_MANIFEST_KEYS = ("dims", "count", "dtype", "values_file", "ids_file", "checksum")
 
 
 class StoreError(CirliteError):
@@ -76,8 +75,13 @@ class Manifest:
     ids_file: str
     checksum: str
 
-    def to_dict(self) -> dict:
-        return {key: getattr(self, key) for key in _MANIFEST_KEYS}
+    def __post_init__(self):
+        check_field_types(self, ManifestError)
+        if self.dtype != DTYPE_TAG:
+            raise ManifestError(
+                f"unsupported dtype tag {self.dtype!r}; only {DTYPE_TAG!r} is supported")
+        if self.dims < 1 or self.count < 0:
+            raise ManifestError(f"invalid dims/count: {self.dims}/{self.count}")
 
 
 @dataclass
@@ -181,6 +185,69 @@ def write_jsonl(records, path) -> None:
     write_atomic(path, "".join(json.dumps(r) + "\n" for r in records).encode("utf-8"))
 
 
+def parse_json(raw, error: type[CirliteError], where: str):
+    """Decode one JSON document from UTF-8 bytes or from text. Bad UTF-8,
+    bad JSON, an integer past Python's digit limit and nesting past the
+    recursion limit raise error."""
+    try:
+        return json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+    except (ValueError, RecursionError) as exc:  # ValueError covers the first three
+        raise error(f"{where} is malformed JSON: {exc}") from exc
+
+
+@functools.cache
+def _field_names(cls) -> tuple[frozenset, frozenset]:
+    """All field names of the dataclass cls, and those without a default."""
+    all_fields = fields(cls)
+    return (frozenset(f.name for f in all_fields),
+            frozenset(f.name for f in all_fields
+                      if f.default is MISSING and f.default_factory is MISSING))
+
+
+def read_record(cls, doc, error: type[CirliteError], where: str):
+    """Build the dataclass cls from a decoded JSON document, which must be
+    an object naming every required field of cls and no other. The class
+    checks its own values; every error is error, prefixed by where."""
+    if not isinstance(doc, dict):
+        raise error(f"{where}: not a JSON object")
+    names, required = _field_names(cls)
+    unknown = doc.keys() - names
+    if unknown:
+        raise error(f"{where}: unknown field {', '.join(map(repr, sorted(unknown)))}")
+    missing = required - doc.keys()
+    if missing:
+        raise error(f"{where}: missing field {', '.join(map(repr, sorted(missing)))}")
+    try:
+        return cls(**doc)
+    except error as exc:
+        raise error(f"{where}: {exc}") from exc
+
+
+# Value checks for dataclass fields by annotation; the annotations are
+# strings under the __future__ import. Fields annotated otherwise are checked
+# by hand. A bool is not an int, and an int is a float.
+_IS_TYPE = {
+    "str": lambda v: isinstance(v, str),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "bool": lambda v: isinstance(v, bool),
+    "list[str]": lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+    "list[int]": lambda v: isinstance(v, list) and all(_IS_TYPE["int"](s) for s in v),
+}
+
+
+def check_field_types(record, error: type[CirliteError], where: str = "") -> None:
+    """Raise error, prefixed by where if given, unless each checked field of
+    the dataclass record holds its annotated type (None only for `| None`)."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        optional = f.type.endswith(" | None")
+        check = _IS_TYPE.get(f.type.removesuffix(" | None"))
+        if check and not (optional and value is None) and not check(value):
+            prefix = f"{where}: " if where else ""
+            raise error(f"{prefix}{f.name} must be {f.type}, got {value!r}")
+
+
 def save_embeddings(matrix: EmbeddingMatrix, out_dir) -> Manifest:
     """Write the matrix to ``out_dir`` and return its manifest.
 
@@ -205,7 +272,7 @@ def save_embeddings(matrix: EmbeddingMatrix, out_dir) -> Manifest:
         write_atomic(out / IDS_FILENAME,
                      "".join(item_id + "\n" for item_id in matrix.ids).encode("utf-8"))
         write_atomic(out / MANIFEST_FILENAME,
-                     (json.dumps(manifest.to_dict(), indent=2) + "\n").encode("utf-8"))
+                     (json.dumps(asdict(manifest), indent=2) + "\n").encode("utf-8"))
     except OSError as exc:
         raise StoreError(f"cannot write embeddings to {out}: {exc}") from exc
     return manifest
@@ -223,37 +290,29 @@ def load_embeddings(manifest_path) -> EmbeddingMatrix:
     if not path.is_file():
         raise ManifestError(f"manifest not found: {path}")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ManifestError(f"cannot parse manifest {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ManifestError(f"manifest {path} is not a JSON object")
-    missing = [key for key in _MANIFEST_KEYS if key not in payload]
-    if missing:
-        raise ManifestError(f"manifest {path} missing fields: {missing}")
-    if payload["dtype"] != DTYPE_TAG:
-        raise ManifestError(
-            f"unsupported dtype tag {payload['dtype']!r}; only {DTYPE_TAG!r} is supported"
-        )
-    dims, count = payload["dims"], payload["count"]
-    if type(dims) is not int or type(count) is not int or dims < 1 or count < 0:
-        raise ManifestError(f"manifest {path} has invalid dims/count: {dims!r}/{count!r}")
-    if not all(isinstance(payload[key], str) for key in ("values_file", "ids_file", "checksum")):
-        raise ManifestError(f"manifest {path} file and checksum fields must be strings")
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+    where = f"manifest {path}"
+    manifest = read_record(Manifest, parse_json(raw, ManifestError, where), ManifestError, where)
+    count, dims = manifest.count, manifest.dims
 
-    values_path = path.parent / payload["values_file"]
-    ids_path = path.parent / payload["ids_file"]
+    values_path = path.parent / manifest.values_file
+    ids_path = path.parent / manifest.ids_file
     if not values_path.is_file():
         raise ManifestError(f"values file not found: {values_path}")
     if not ids_path.is_file():
         raise ManifestError(f"ids file not found: {ids_path}")
 
     raw = values_path.read_bytes()
-    if _checksum(raw) != payload["checksum"]:
+    if _checksum(raw) != manifest.checksum:
         raise ChecksumMismatchError(
-            f"checksum mismatch for {values_path}: expected {payload['checksum']}"
+            f"checksum mismatch for {values_path}: expected {manifest.checksum}"
         )
-    ids = ids_path.read_text(encoding="utf-8").splitlines()
+    try:
+        ids = ids_path.read_bytes().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"ids file {ids_path} is not UTF-8: {exc}") from exc
     if len(ids) != count:
         raise CountMismatchError(
             f"manifest count={count} but ids file has {len(ids)} lines"

@@ -18,12 +18,12 @@ annotated triplets with the combined objective.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
+from dataclasses import asdict, dataclass, field, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import EOS_TOKEN, SynthWorld, batch_iter, check_field_types, tokenize
+from .data import EOS_TOKEN, SynthWorld, batch_iter, tokenize
 from .errors import CirliteError
 from .model import (
     PARAM_FIELDS,
@@ -36,7 +36,8 @@ from .model import (
     pool_tokens,
     text_block,
 )
-from .store import lookup, write_atomic, write_jsonl
+from .store import (check_field_types, lookup, parse_json, read_record, write_atomic,
+                    write_jsonl)
 
 CHECKPOINT_VERSION = 1
 
@@ -647,7 +648,13 @@ class _CheckpointHeader:
     d_joint: int
     d_hidden: int
     temperature: float
-    seed: int | None
+    seed: int | None = None
+
+    def __post_init__(self):
+        check_field_types(self, CheckpointError)
+        for name in ("vocab_size", "d_tok", "d_img", "d_joint", "d_hidden"):
+            if getattr(self, name) < 1:
+                raise CheckpointError(f"{name} must be >= 1")
 
 
 def save_checkpoint(p: ParamSet, path, *, seed: int | None = None) -> None:
@@ -672,23 +679,13 @@ def _read_checkpoint(path) -> tuple[_CheckpointHeader, bytes]:
     newline = data.find(b"\n")
     if newline < 0:
         raise CheckpointError(f"checkpoint {path} has no header line")
-    try:
-        header = json.loads(data[:newline].decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 or JSON, or an int past Python's digit limit
-        raise CheckpointError(f"checkpoint {path} header is malformed: {exc}") from exc
-    if not isinstance(header, dict):
-        raise CheckpointError(f"checkpoint {path} header is not a JSON object")
-    if header.get("version") != CHECKPOINT_VERSION:
+    where = f"checkpoint {path} header"
+    header = read_record(_CheckpointHeader, parse_json(data[:newline], CheckpointError, where),
+                         CheckpointError, where)
+    if header.version != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"checkpoint {path} has version {header.get('version')!r}, "
-            f"expected {CHECKPOINT_VERSION}"
+            f"checkpoint {path} has version {header.version!r}, expected {CHECKPOINT_VERSION}"
         )
-    # A missing field reads as null, which only the seed may be.
-    header = _CheckpointHeader(**{f.name: header.get(f.name) for f in fields(_CheckpointHeader)})
-    check_field_types(header, CheckpointError, f"checkpoint {path} header")
-    for name in ("vocab_size", "d_tok", "d_img", "d_joint", "d_hidden"):
-        if getattr(header, name) < 1:
-            raise CheckpointError(f"checkpoint {path} header: {name} must be >= 1")
     return header, data[newline + 1:]
 
 

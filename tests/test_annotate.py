@@ -328,22 +328,29 @@ def test_pipeline_pure_function_of_inputs():
 _SCORE_REPLIES = {"float": {"score": 4.7}, "string": {"score": "5"}, "bool": {"score": True},
                   "null": {"score": None}}
 
+# Reply bodies that are not a UTF-8 JSON object.
+_RAW_REPLIES = {"int": b"5", "list": b'["text"]', "bad-utf8": b"\xff",
+                "huge-int": b"1" + b"0" * 5000}
+
 
 class _StubHandler(BaseHTTPRequestHandler):
-    # POST to /status/<code> answers with that HTTP error status.
+    # POST to /status/<code> answers with that HTTP error status, and to
+    # /raw/<name> with the bytes of _RAW_REPLIES[name].
     def do_POST(self):
         self.server.requests += 1
         payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         if self.path.startswith("/status/"):
             self.send_error(int(self.path.rsplit("/", 1)[1]))
             return
-        if self.path.startswith("/score/"):
+        if self.path.startswith("/raw/"):
+            reply = _RAW_REPLIES[self.path.rsplit("/", 1)[1]]
+        elif self.path.startswith("/score/"):
             reply = _SCORE_REPLIES[self.path.rsplit("/", 1)[1]]
         elif "prompt" in payload:
             reply = {"text": "[CAPTION]\nc\n[REASONING]\n1. s\n[CONCLUSION]\nd"}
         else:
             reply = {"score": 5 if "red" in payload["conclusion"] else 1}
-        body = json.dumps(reply).encode()
+        body = reply if isinstance(reply, bytes) else json.dumps(reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -413,6 +420,33 @@ def test_remote_judge_rejects_score_that_is_not_int(stub, stub_server, name):
     with pytest.raises(EndpointError, match="no integer 'score'"):
         judge.score("red item", "target")
     assert stub.requests == 1
+
+
+@pytest.mark.parametrize("name", sorted(_RAW_REPLIES))
+def test_remote_reply_that_is_not_a_json_object_is_retried(stub, stub_server, monkeypatch,
+                                                           name):
+    monkeypatch.setattr(annotate_mod.time, "sleep", lambda seconds: None)
+    client = RemoteGenerator(f"{stub_server}raw/{name}", timeout=5.0, retries=2)
+    expected = "is not a JSON object" if name in ("int", "list") else "is malformed JSON"
+    with pytest.raises(EndpointError, match=f"failed: reply {expected}"):
+        client.generate("prompt")
+    assert stub.requests == 3
+
+
+@pytest.mark.parametrize("name", sorted(_RAW_REPLIES))
+def test_cli_annotate_with_bad_reply_exits_1(stub_server, tmp_path, capsys, name):
+    from cirlite.cli import main
+    from cirlite.data import write_triplets
+
+    write_triplets([make_triplet()], tmp_path / "t.jsonl")
+    code = main(["annotate", "--triplets", str(tmp_path / "t.jsonl"),
+                 "--annotations", str(tmp_path / "a.jsonl"),
+                 "--generator-endpoint", f"{stub_server}raw/{name}",
+                 "--judge-endpoints", stub_server, "--endpoint-retries", "0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: endpoint ") and err.count("\n") == 1
+    assert not (tmp_path / "a.jsonl").exists()
 
 
 def test_remote_client_waits_before_each_retry(stub, stub_server, monkeypatch):

@@ -282,6 +282,35 @@ def test_malformed_field_exits_1(world_dir, tmp_path, capsys, command, change):
         assert not (tmp_path / output).exists()
 
 
+_HUGE_INT = b"1" + b"0" * 5000
+
+
+@pytest.mark.parametrize("target, damage", [
+    ("triplets", "byte"), ("config", "byte"), ("manifest", "byte"), ("ids", "byte"),
+    ("triplets", "int"), ("config", "int"), ("manifest", "int"),
+])
+def test_undecodable_input_exits_1(world_dir, tmp_path, capsys, target, damage):
+    # A \xff byte (not UTF-8) or an integer past Python's 4300-digit limit.
+    emb = Path(world_dir["embeddings"]).parent
+    for f in emb.iterdir():
+        (tmp_path / f.name).write_bytes(f.read_bytes())
+    (tmp_path / "t.jsonl").write_bytes(Path(world_dir["triplets"]).read_bytes())
+    (tmp_path / "c.json").write_bytes(b'{"seed": 3}')
+    path, old = {"triplets": ("t.jsonl", b'"pair00001"'), "config": ("c.json", b"3"),
+                 "manifest": ("manifest.json", b'"f32le"' if damage == "byte" else b"40"),
+                 "ids": ("ids.txt", b"item0001")}[target]
+    new = old[:2] + b"\xff" + old[2:] if damage == "byte" else _HUGE_INT
+    data = (tmp_path / path).read_bytes()
+    assert old in data
+    (tmp_path / path).write_bytes(data.replace(old, new, 1))
+    code = main(["ingest", "--embeddings", str(tmp_path / "manifest.json"),
+                 "--triplets", str(tmp_path / "t.jsonl"), "--config", str(tmp_path / "c.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("not UTF-8" if target == "ids" else "is malformed JSON") in err
+
+
 @pytest.mark.parametrize("text", [
     "[1, 2]\n",
     '{"query_count": 1, "recall": [], "subset_recall": {}, "map_at": {}, '
@@ -459,6 +488,25 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     config = json.loads(capsys.readouterr().out)
     assert config["seed"] == 11      # flag wins
     assert config["epochs"] == 7     # file survives
+
+
+def test_every_flag_parses_to_its_field_type(capsys):
+    from cirlite.cli import _COMMANDS, _FIELD_TYPES
+
+    # A float flag given "2" must give 2.0, not the int 2.
+    samples = {"int": ["2"], "float": ["2"], "bool": [], "str": ["fast"],
+               "list[int]": ["1,2"], "list[str]": ["a", "b"]}
+    python_types = {"int": int, "float": float, "bool": bool, "str": str,
+                    "list[int]": list, "list[str]": list}
+    for command, (_, _, names) in _COMMANDS.items():
+        for name in ("seed", *names):
+            kind = _FIELD_TYPES[name].removesuffix(" | None")
+            flag = "--" + name.replace("_", "-")
+            assert main([command, "--print-config", flag, *samples[kind]]) == 0, flag
+            value = json.loads(capsys.readouterr().out)[name]
+            assert type(value) is python_types[kind], (command, flag, value)
+            if kind.startswith("list["):
+                assert value == ([1, 2] if kind == "list[int]" else ["a", "b"])
 
 
 def test_config_unknown_key_rejected(tmp_path):

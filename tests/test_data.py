@@ -165,6 +165,32 @@ def test_load_nli_pairs_missing_field_names_line(tmp_path):
         load_nli_pairs(path)
 
 
+def test_load_nli_pairs_rejects_unknown_field(tmp_path):
+    path = tmp_path / "n.jsonl"
+    path.write_text('{"premise": "a", "positive": "b", "negative": "c"}\n')
+    with pytest.raises(DatasetError, match=":1: unknown field 'negative'"):
+        load_nli_pairs(path)
+
+
+@pytest.mark.parametrize("line", [
+    b'{"pair_id": "p\xff1", "reference_id": "a", "modification_text": "m", "target_id": "b"}',
+    b'{"pair_id": 1' + b"0" * 5000 + b', "reference_id": "a"}',
+])
+def test_load_undecodable_line_names_line(tmp_path, line):
+    path = tmp_path / "t.jsonl"
+    good = b'{"pair_id": "p0", "reference_id": "a", "modification_text": "m", "target_id": "b"}'
+    path.write_bytes(good + b"\n\n" + line + b"\n")
+    with pytest.raises(DatasetError, match=":3: triplet is malformed JSON"):
+        load_triplets(path)
+
+
+def test_load_line_that_is_not_an_object_names_line(tmp_path):
+    path = tmp_path / "a.jsonl"
+    path.write_text('["p0", "cap"]\n')
+    with pytest.raises(DatasetError, match=":1: not a JSON object"):
+        load_annotations(path)
+
+
 # ---------------------------------------------------------------------------
 # tokenize
 # ---------------------------------------------------------------------------

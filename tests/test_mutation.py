@@ -1,16 +1,18 @@
 """Seeded mutations of CLI input files: every run ends in an exit code.
 
 Each case starts from a well-formed input file (a config, NLI pairs,
-triplets, annotations, an embeddings manifest, a checkpoint's header line
-or a report), applies one mutation (delete a field, swap a value for one
-of another type, or truncate the file) and runs the command that reads it
-through cli.main. The command may succeed or fail, but it must return 0, 1
-or 2 and never raise. A mutated checkpoint header is written before the
-unchanged float32 payload.
+triplets, annotations, an embeddings manifest, a checkpoint's header line,
+a report, or the embeddings' ids file), applies one mutation (delete a
+field, swap a value for one of another type, truncate the file, flip the
+bits of one byte, or put in an integer past Python's 4300-digit limit) and
+runs the command that reads it through cli.main. The command may succeed
+or fail, but it must return 0, 1 or 2 and never raise. A mutated checkpoint
+header is written before the unchanged float32 payload.
 """
 
 import json
 import random
+import shutil
 from dataclasses import asdict
 from pathlib import Path
 
@@ -23,6 +25,8 @@ from cirlite.model import init_params
 from cirlite.trainer import save_checkpoint
 
 MUTATIONS_PER_KIND = 40
+BYTE_FLIPS_PER_KIND = 10
+HUGE_INT = "1" + "0" * 5000
 SWAP_VALUES = [0, 7, -1, 2.5, "", "x", None, True, [], ["x"], [2], {}, {"k": 1}]
 
 
@@ -79,6 +83,35 @@ def mutate(rng: random.Random, records: list[dict]) -> tuple[str, str]:
     return "".join(json.dumps(r) + "\n" for r in records), what
 
 
+def damage(rng: random.Random, text: str, how: str) -> bytes:
+    """text with one byte's bits flipped, or with one line's first value
+    (or, for a line without one, the line itself) replaced by HUGE_INT."""
+    if how == "flip":
+        data = bytearray(text.encode("utf-8"))
+        data[rng.randrange(len(data))] ^= rng.randrange(1, 256)
+        return bytes(data)
+    lines = text.splitlines(keepends=True)
+    j = rng.randrange(len(lines))
+    head, sep, tail = lines[j].partition('": ')
+    lines[j] = head + sep + HUGE_INT + tail[tail.find(","):] if sep else HUGE_INT + "\n"
+    return "".join(lines).encode("utf-8")
+
+
+def write_input(kind: str, inputs, data: bytes) -> str:
+    """Write a damaged or mutated input where its command reads it."""
+    if kind == "ids":
+        # The ids file is named by a manifest beside it: use a copy of the store.
+        folder = inputs["root"] / "ids-store"
+        shutil.copytree(Path(inputs["embeddings"]).parent, folder, dirs_exist_ok=True)
+        (folder / "ids.txt").write_bytes(data)
+        return str(folder / "manifest.json")
+    # A manifest names its blob and ids files relative to its own directory.
+    folder = Path(inputs["embeddings"]).parent if kind == "manifest" else inputs["root"]
+    path = folder / f"mutated-{kind}.json"
+    path.write_bytes(data + inputs["payload"] if kind == "checkpoint" else data)
+    return str(path)
+
+
 def command(kind: str, inputs, path: str) -> list[str]:
     out = str(inputs["root"] / "out")
     if kind == "config":
@@ -96,7 +129,7 @@ def command(kind: str, inputs, path: str) -> list[str]:
     if kind == "annotations":
         return ["filter", "--annotations", path, "--accepted", out + ".acc.jsonl",
                 "--rejected", out + ".rej.jsonl"]
-    if kind == "manifest":
+    if kind in ("manifest", "ids"):
         return ["ingest", "--embeddings", path, "--triplets", inputs["triplets"]]
     if kind == "checkpoint":
         return ["eval", "--checkpoint", path, "--embeddings", inputs["embeddings"],
@@ -104,20 +137,30 @@ def command(kind: str, inputs, path: str) -> list[str]:
     return ["report", "--report", path]
 
 
+def run(kind: str, inputs, capsys, data: bytes, what: str) -> None:
+    code = main(command(kind, inputs, write_input(kind, inputs, data)))
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (kind, what, code)
+    assert (code == 0) == (err == ""), (kind, what, err)
+
+
 @pytest.mark.parametrize("kind", ["config", "nli_pairs", "triplets", "annotations",
                                   "manifest", "checkpoint", "report"])
 def test_mutated_input_ends_in_exit_code(inputs, capsys, kind):
     rng = random.Random(f"cirlite-mutation-{kind}")
-    # A manifest names its blob and ids files relative to its own directory.
-    folder = Path(inputs["embeddings"]).parent if kind == "manifest" else inputs["root"]
-    path = folder / f"mutated-{kind}.json"
     for _ in range(MUTATIONS_PER_KIND):
         text, what = mutate(rng, inputs["records"][kind])
-        if kind == "checkpoint":
-            path.write_bytes(text.encode("utf-8") + inputs["payload"])
-        else:
-            path.write_text(text, encoding="utf-8")
-        code = main(command(kind, inputs, str(path)))
-        err = capsys.readouterr().err
-        assert code in (0, 1, 2), (kind, what, code)
-        assert (code == 0) == (err == ""), (kind, what, err)
+        run(kind, inputs, capsys, text.encode("utf-8"), what)
+
+
+@pytest.mark.parametrize("kind", ["config", "nli_pairs", "triplets", "annotations",
+                                  "manifest", "checkpoint", "report", "ids"])
+def test_damaged_input_ends_in_exit_code(inputs, capsys, kind):
+    rng = random.Random(f"cirlite-damage-{kind}")
+    if kind == "ids":
+        text = (Path(inputs["embeddings"]).parent / "ids.txt").read_text()
+    else:
+        text = "".join(json.dumps(r) + "\n" for r in inputs["records"][kind])
+    for how in ["flip"] * BYTE_FLIPS_PER_KIND + ["huge_int"]:
+        data = damage(rng, text, how)
+        run(kind, inputs, capsys, data, f"{how}: {data[:200]!r}")

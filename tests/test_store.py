@@ -1,5 +1,6 @@
 """Embedding store: file format roundtrips, validation errors, normalization."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -29,6 +30,8 @@ from cirlite.store import (
     l2_normalize,
     load_embeddings,
     lookup,
+    parse_json,
+    read_record,
     save_embeddings,
     write_atomic,
 )
@@ -170,6 +173,7 @@ def test_non_finite_payload(tmp_path):
     ("values_file", 5),
     ("ids_file", None),
     ("checksum", ["sha256:"]),
+    ("note", "an unknown field"),
 ])
 def test_manifest_field_of_wrong_type(tmp_path, key, value):
     save_embeddings(random_matrix(0, count=3, dims=4), tmp_path)
@@ -187,6 +191,65 @@ def test_unsupported_dtype_tag(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ManifestError, match="dtype"):
         load_embeddings(tmp_path / "manifest.json")
+
+
+def test_ids_file_not_utf8(tmp_path):
+    save_embeddings(random_matrix(0, count=3, dims=4), tmp_path)
+    (tmp_path / "ids.txt").write_bytes(b"item000\nitem\xff01\nitem002\n")
+    with pytest.raises(ManifestError, match="not UTF-8"):
+        load_embeddings(tmp_path / "manifest.json")
+
+
+def test_manifest_keys_in_format_order(tmp_path):
+    save_embeddings(random_matrix(0, count=3, dims=4), tmp_path)
+    assert list(json.loads((tmp_path / "manifest.json").read_text())) == [
+        "dims", "count", "dtype", "values_file", "ids_file", "checksum"]
+
+
+# ---------------------------------------------------------------------------
+# The JSON reader
+# ---------------------------------------------------------------------------
+
+class _ReaderError(StoreError):
+    pass
+
+
+@dataclasses.dataclass
+class _Pair:
+    name: str
+    size: int = 1
+
+    def __post_init__(self):
+        if self.size < 0:
+            raise _ReaderError("size must be >= 0")
+
+
+def test_parse_json_accepts_bytes_and_text():
+    assert parse_json(b'{"a": [1, "\xc3\xa9"]}', _ReaderError, "doc") == {"a": [1, "\u00e9"]}
+    assert parse_json('{"a": 1}', _ReaderError, "doc") == {"a": 1}
+
+
+@pytest.mark.parametrize("raw", [b"\xff", b'"\xc3"', "{", "[1,]", "1" * 5001, "[" * 100_000])
+def test_parse_json_failures_raise_the_given_error(raw):
+    with pytest.raises(_ReaderError, match="^doc is malformed JSON: "):
+        parse_json(raw, _ReaderError, "doc")
+
+
+def test_read_record_builds_the_class():
+    assert read_record(_Pair, {"name": "a"}, _ReaderError, "f:1") == _Pair("a")
+    assert read_record(_Pair, {"name": "a", "size": 3}, _ReaderError, "f:1") == _Pair("a", 3)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1], "f:1: not a JSON object"),
+    ("x", "f:1: not a JSON object"),
+    ({"name": "a", "colour": 1, "age": 2}, "f:1: unknown field 'age', 'colour'"),
+    ({"size": 2}, "f:1: missing field 'name'"),
+    ({"name": "a", "size": -1}, "f:1: size must be >= 0"),
+])
+def test_read_record_failures_name_where(doc, message):
+    with pytest.raises(_ReaderError, match=f"^{message}$"):
+        read_record(_Pair, doc, _ReaderError, "f:1")
 
 
 # ---------------------------------------------------------------------------

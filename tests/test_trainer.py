@@ -988,6 +988,32 @@ def test_checkpoint_header_not_object(tmp_path):
             read(path)
 
 
+def test_checkpoint_header_unknown_field(tmp_path):
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(small_params(3), path, seed=3)
+    data = path.read_bytes()
+    newline = data.index(b"\n")
+    header = {**json.loads(data[:newline]), "note": "x"}
+    path.write_bytes(json.dumps(header).encode() + data[newline:])
+    with pytest.raises(CheckpointError, match="header: unknown field 'note'$"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_header_missing_fields(tmp_path):
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(small_params(3), path, seed=3)
+    data = path.read_bytes()
+    newline = data.index(b"\n")
+    header = json.loads(data[:newline])
+    del header["seed"], header["d_tok"]
+    path.write_bytes(json.dumps(header).encode() + data[newline:])
+    with pytest.raises(CheckpointError, match="header: missing field 'd_tok'$"):
+        load_checkpoint(path)
+    header["d_tok"] = small_params(3).d_tok
+    path.write_bytes(json.dumps(header).encode() + data[newline:])
+    assert checkpoint_seed(path) is None  # a header without a seed reads as null
+
+
 @pytest.mark.parametrize("change", [
     {"vocab_size": 16.0}, {"d_tok": None}, {"d_img": ["x"]}, {"d_joint": 0},
     {"d_hidden": -1}, {"d_hidden": True}, {"version": 1.0}, {"temperature": "0.07"},
