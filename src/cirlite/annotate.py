@@ -15,6 +15,7 @@ Remote generator and judge clients speak a minimal JSON-over-HTTP contract:
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import re
 import time
@@ -302,8 +303,9 @@ RETRY_CAP_S = 1.0
 def _post_json(endpoint: str, payload: dict, timeout: float, retries: int) -> dict:
     """POST payload as JSON and parse the JSON reply.
 
-    Connection errors, HTTP 5xx, 408, 429 and replies that are not a UTF-8
-    JSON object are retried up to `retries` times, after a growing wait; any
+    Connection errors, HTTP protocol errors (a bad status line, a body cut
+    short), HTTP 5xx, 408, 429 and replies that are not a UTF-8 JSON object
+    are retried up to `retries` times, after a growing wait; any
     other HTTP 4xx means the request itself is wrong, so it fails at once.
     Every failure raises EndpointError.
     """
@@ -327,6 +329,9 @@ def _post_json(endpoint: str, payload: dict, timeout: float, retries: int) -> di
                     f"endpoint {endpoint} rejected the request: HTTP {exc.code} {exc.reason}"
                 ) from exc
             last_error = exc
+        except http.client.HTTPException as exc:
+            # repr: a bad status line is kept raw, line break included.
+            last_error = EndpointError(repr(exc))
         except (urllib.error.URLError, OSError, EndpointError) as exc:
             last_error = exc
     raise EndpointError(f"endpoint {endpoint} failed: {last_error}") from last_error

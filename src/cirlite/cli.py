@@ -262,16 +262,16 @@ def cmd_eval(cfg: RunConfig) -> int:
 def cmd_report(cfg: RunConfig) -> int:
     _require(cfg, "report")
     try:
-        report = EvalReport.from_json(Path(cfg.report).read_text(encoding="utf-8"))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, MetricError) as exc:
+        report = EvalReport.from_json(Path(cfg.report).read_bytes())
+    except (OSError, MetricError) as exc:
         raise CirliteError(f"cannot read report {cfg.report}: {exc}") from exc
     print(f"queries: {report.query_count}")
-    for k in sorted(report.recall):
-        print(f"R@{k}: {display_round(report.recall[k])}")
-    for k in sorted(report.subset_recall):
-        print(f"R_subset@{k}: {display_round(report.subset_recall[k])}")
-    for k in sorted(report.map_at):
-        print(f"mAP@{k}: {display_round(100.0 * report.map_at[k], 2)}")
+    for k, value in report.recall.items():
+        print(f"R@{k}: {display_round(value)}")
+    for k, value in report.subset_recall.items():
+        print(f"R_subset@{k}: {display_round(value)}")
+    for k, value in report.map_at.items():
+        print(f"mAP@{k}: {display_round(100.0 * value, 2)}")
     if report.cirr_avg is not None:
         print(f"Avg (R@5, R_subset@1): {display_round(report.cirr_avg)}")
     return 0

@@ -364,7 +364,7 @@ def load_nli_pairs(path) -> list[tuple[str, str]]:
 
 
 def write_nli_pairs(pairs, path) -> None:
-    write_jsonl([{"premise": a, "positive": b} for a, b in pairs], path)
+    write_jsonl([asdict(_NLIPair(a, b)) for a, b in pairs], path)
 
 
 def save_world(world: SynthWorld, out_dir) -> dict[str, str]:

@@ -14,11 +14,11 @@ rounding (2 decimals, half to even) is a presentation step only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 
 from .errors import CirliteError
-from .store import check_field_types, parse_json
+from .store import check_field_types, parse_json, read_record
 
 
 class MetricError(CirliteError):
@@ -109,20 +109,26 @@ class EvalReport:
     """Full-precision evaluation results for one query set.
 
     recall and subset_recall map K to percentages; map_at maps k to mAP in
-    [0, 1]. subset_recall covers only queries that carry candidate subsets
-    (subset_query_count of them). cirr_avg is present when both of its
-    inputs are (R@5 and R_subset@1).
+    [0, 1]; each map's keys are ints in ascending order. subset_recall
+    covers only queries that carry candidate subsets (subset_query_count of
+    them). cirr_avg is present when both of its inputs are (R@5 and
+    R_subset@1). The fields are in the order the JSON document lists them.
     """
 
     query_count: int
+    subset_query_count: int
     recall: dict[int, float]
     subset_recall: dict[int, float]
     map_at: dict[int, float]
-    subset_query_count: int
     cirr_avg: float | None = None
 
     def __post_init__(self):
-        check_field_types(self, MetricError, "report")
+        for name in ("recall", "subset_recall", "map_at"):  # JSON keys are decimal strings
+            values = getattr(self, name)
+            if isinstance(values, dict) and all(
+                    type(k) is int or type(k) is str and k.isdecimal() for k in values):
+                setattr(self, name, dict(sorted({int(k): v for k, v in values.items()}.items())))
+        check_field_types(self, MetricError)
         if self.cirr_avg is not None:
             _check_percent("cirr_avg", self.cirr_avg)
         for k, value in self.recall.items():
@@ -132,7 +138,7 @@ class EvalReport:
         for k, value in self.map_at.items():
             if not 0.0 <= value <= 1.0:
                 raise MetricError(f"mAP@{k} must be in [0, 1], got {value}")
-        ks = sorted(self.recall)
+        ks = list(self.recall)
         for lo, hi in zip(ks, ks[1:]):
             if self.recall[lo] > self.recall[hi]:
                 raise MetricError(
@@ -142,26 +148,9 @@ class EvalReport:
 
     def to_json(self) -> str:
         """Stable-key-order JSON document (full precision)."""
-        doc = {
-            "query_count": self.query_count,
-            "subset_query_count": self.subset_query_count,
-            "recall": {str(k): self.recall[k] for k in sorted(self.recall)},
-            "subset_recall": {
-                str(k): self.subset_recall[k] for k in sorted(self.subset_recall)
-            },
-            "map_at": {str(k): self.map_at[k] for k in sorted(self.map_at)},
-            "cirr_avg": self.cirr_avg,
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        doc = parse_json(text, MetricError, "report")
-        return cls(
-            query_count=doc["query_count"],
-            recall={int(k): v for k, v in doc["recall"].items()},
-            subset_recall={int(k): v for k, v in doc["subset_recall"].items()},
-            map_at={int(k): v for k, v in doc["map_at"].items()},
-            subset_query_count=doc["subset_query_count"],
-            cirr_avg=doc["cirr_avg"],
-        )
+    def from_json(cls, raw) -> "EvalReport":
+        """Read a report document from UTF-8 bytes or text."""
+        return read_record(cls, parse_json(raw, MetricError, "report"), MetricError, "report")

@@ -107,7 +107,8 @@ class EmbeddingMatrix:
                 f"{len(self.ids)} ids for {values.shape[0]} embedding rows"
             )
         for item_id in self.ids:
-            if not item_id or "\n" in item_id or "\r" in item_id:
+            # The ids file is read back with str.splitlines.
+            if item_id.splitlines() != [item_id]:
                 raise StoreError(f"invalid item id: {item_id!r}")
         if not np.all(np.isfinite(values)):
             raise NonFiniteValueError("embedding values contain NaN or Inf")
@@ -224,8 +225,8 @@ def read_record(cls, doc, error: type[CirliteError], where: str):
 
 
 # Value checks for dataclass fields by annotation; the annotations are
-# strings under the __future__ import. Fields annotated otherwise are checked
-# by hand. A bool is not an int, and an int is a float.
+# strings under the __future__ import. Every field of a record read through
+# read_record has an entry. A bool is not an int, and an int is a float.
 _IS_TYPE = {
     "str": lambda v: isinstance(v, str),
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
@@ -233,6 +234,8 @@ _IS_TYPE = {
     "bool": lambda v: isinstance(v, bool),
     "list[str]": lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
     "list[int]": lambda v: isinstance(v, list) and all(_IS_TYPE["int"](s) for s in v),
+    "dict[int, float]": lambda v: isinstance(v, dict) and all(
+        _IS_TYPE["int"](k) and _IS_TYPE["float"](x) for k, x in v.items()),
 }
 
 

@@ -1,8 +1,10 @@
 """Annotation pipeline: prompts, parsing, judging, filtering, remote clients."""
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -446,6 +448,71 @@ def test_cli_annotate_with_bad_reply_exits_1(stub_server, tmp_path, capsys, name
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: endpoint ") and err.count("\n") == 1
+    assert not (tmp_path / "a.jsonl").exists()
+
+
+# Replies that break HTTP itself: a status line that is not HTTP, and a
+# body shorter than its Content-Length.
+_BROKEN_REPLIES = {
+    "bad-status-line": b"NOT-HTTP 200 OK\r\n\r\n",
+    "short-body": b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                  b"Content-Length: 100\r\n\r\n{\"text\": ",
+}
+
+
+@pytest.fixture()
+def raw_stub():
+    """A loopback socket that reads each HTTP request and answers it with the
+    bytes in raw_stub.reply, then closes the connection."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.01)
+    stub = SimpleNamespace(url=f"http://127.0.0.1:{listener.getsockname()[1]}/", reply=b"",
+                           requests=0)
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with conn, conn.makefile("rb") as rfile:
+                conn.settimeout(5.0)
+                length = 0
+                while (line := rfile.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.partition(b":")
+                    if name.strip().lower() == b"content-length":
+                        length = int(value)
+                rfile.read(length)
+                stub.requests += 1
+                conn.sendall(stub.reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    yield stub
+    stop.set()
+    thread.join(timeout=5)
+    listener.close()
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("name", sorted(_BROKEN_REPLIES))
+def test_cli_annotate_with_broken_http_reply_retries_then_exits_1(raw_stub, tmp_path, capsys,
+                                                                 monkeypatch, name):
+    from cirlite.cli import main
+    from cirlite.data import write_triplets
+
+    monkeypatch.setattr(annotate_mod.time, "sleep", lambda seconds: None)
+    raw_stub.reply = _BROKEN_REPLIES[name]
+    write_triplets([make_triplet()], tmp_path / "t.jsonl")
+    code = main(["annotate", "--triplets", str(tmp_path / "t.jsonl"),
+                 "--annotations", str(tmp_path / "a.jsonl"),
+                 "--generator-endpoint", raw_stub.url, "--judge-endpoints", raw_stub.url,
+                 "--endpoint-timeout", "5", "--endpoint-retries", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: endpoint ") and err.count("\n") == 1
+    assert raw_stub.requests == 2
     assert not (tmp_path / "a.jsonl").exists()
 
 

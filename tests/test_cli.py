@@ -311,6 +311,20 @@ def test_undecodable_input_exits_1(world_dir, tmp_path, capsys, target, damage):
     assert ("not UTF-8" if target == "ids" else "is malformed JSON") in err
 
 
+_GOOD_REPORT = {"query_count": 2, "subset_query_count": 2, "recall": {"5": 50.0},
+                "subset_recall": {"1": 50.0}, "map_at": {"5": 0.5}, "cirr_avg": 50.0}
+# Report documents whose error names a field, and the name it shows.
+_BAD_REPORT_FIELDS = {
+    json.dumps({k: v for k, v in _GOOD_REPORT.items() if k != "recall"}): "'recall'",
+    json.dumps({**_GOOD_REPORT, "extra": 1}): "'extra'",
+    json.dumps({**_GOOD_REPORT, "recall": {"5": True}}): "recall must be",
+    json.dumps({**_GOOD_REPORT, "recall": {"5": "50"}}): "recall must be",
+    json.dumps({**_GOOD_REPORT, "subset_recall": {"1.5": 50.0}}): "subset_recall must be",
+    json.dumps({**_GOOD_REPORT, "map_at": [0.5]}): "map_at must be",
+    json.dumps({**_GOOD_REPORT, "map_at": {"5": None}}): "map_at must be",
+}
+
+
 @pytest.mark.parametrize("text", [
     "[1, 2]\n",
     '{"query_count": 1, "recall": [], "subset_recall": {}, "map_at": {}, '
@@ -321,11 +335,15 @@ def test_undecodable_input_exits_1(world_dir, tmp_path, capsys, target, damage):
                   "map_at": {}, "subset_query_count": 2, "cirr_avg": 50.0, **change})
       for change in ({"cirr_avg": "x"}, {"cirr_avg": []}, {"cirr_avg": {}},
                      {"cirr_avg": 250.0}, {"query_count": "x"}, {"subset_query_count": True})),
+    *_BAD_REPORT_FIELDS,
 ])
 def test_report_malformed_document_exits_1(tmp_path, capsys, text):
-    (tmp_path / "r.json").write_text(text)
-    assert main(["report", "--report", str(tmp_path / "r.json")]) == 1
-    assert capsys.readouterr().err.startswith("error: cannot read report")
+    path = tmp_path / "r.json"
+    path.write_text(text)
+    assert main(["report", "--report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read report {path}: ") and err.count("\n") == 1
+    assert _BAD_REPORT_FIELDS.get(text, "") in err
 
 
 # ---------------------------------------------------------------------------
@@ -468,15 +486,22 @@ def test_train_config_takes_every_training_setting_by_name():
     assert _train_config(RunConfig(stage=2, epochs=3)).epochs == 3
 
 
-def test_print_config_dumps_resolved_json(world_dir, capsys):
-    code = main(["eval", "--print-config", "--seed", "9",
-                 "--k-list", "1,5", "--report", "r.json"])
+def test_print_config_dumps_resolved_json(world_dir, capsys, tmp_path):
+    code = main(["eval", "--print-config", "--seed", "9", "--k-list", "1,5",
+                 "--report", "r.json", "--ranked-out", "rän ked 漢😀.jsonl"])
     assert code == 0
-    config = json.loads(capsys.readouterr().out)
+    printed = capsys.readouterr().out
+    config = json.loads(printed)
     assert config["seed"] == 9
     assert config["k_list"] == [1, 5]
     assert config["report"] == "r.json"
+    assert config["ranked_out"] == "rän ked 漢😀.jsonl"
+    assert config["judge_endpoints"] == []
     assert config["lambda_txt"] == 1.0
+    # Read back through --config, the printed config prints the same.
+    (tmp_path / "config.json").write_text(printed)
+    assert main(["eval", "--print-config", "--config", str(tmp_path / "config.json")]) == 0
+    assert capsys.readouterr().out == printed
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from cirlite.data import (
     save_world,
     tokenize,
     write_annotations,
+    write_nli_pairs,
     write_triplets,
 )
 from cirlite.retrieval import build_index, rank_of
@@ -81,12 +83,45 @@ def test_load_reports_malformed_json_line(tmp_path):
         load_triplets(path)
 
 
+# Text for seeded random records: spaces, JSON escapes, non-ASCII and
+# astral characters.
+_CHARS = 'aZ9 \t"\\éß漢字😀'
+_IDS = ["item 1", "ïtem 2", "項目 3", "😀 4", "x"]
+
+
+def random_text(rng: random.Random) -> str:
+    return "".join(rng.choices(_CHARS, k=rng.randint(0, 8)))
+
+
+def random_triplet(rng: random.Random, i: int) -> Triplet:
+    ref, tgt, *rest = rng.sample(_IDS, len(_IDS))
+    return Triplet(
+        f"p {i} ü", ref, random_text(rng), tgt,
+        subset_ids=rng.choice([None, [tgt, *rest[:rng.randint(0, len(rest))]]]),
+        gt_ids=rng.choice([None, [*rest[:rng.randint(0, 1)], tgt]]),
+        reference_descriptor=rng.choice([None, random_text(rng)]),
+        target_descriptor=rng.choice([None, random_text(rng)]),
+    )
+
+
+def random_annotation(rng: random.Random, i: int) -> CoTAnnotation:
+    accepted = rng.random() < 0.5
+    return CoTAnnotation(
+        f"p {i} ü", "cap " + random_text(rng),
+        [random_text(rng) for _ in range(rng.randint(1 if accepted else 0, 3))],
+        "conc " + random_text(rng), [rng.randint(1, 5) for _ in range(rng.randint(0, 3))],
+        accepted,
+    )
+
+
 def test_triplet_roundtrip(tmp_path):
+    rng = random.Random(0)
     triplets = [
         make_triplet(subset_ids=["b", "c", "d"], gt_ids=["b", "e"],
                      reference_descriptor="item with red",
                      target_descriptor="item with blue"),
         make_triplet(pair_id="p1"),
+        *(random_triplet(rng, i) for i in range(40)),
     ]
     path = tmp_path / "t.jsonl"
     write_triplets(triplets, path)
@@ -94,13 +129,22 @@ def test_triplet_roundtrip(tmp_path):
 
 
 def test_annotation_roundtrip(tmp_path):
+    rng = random.Random(1)
     annotations = [
         CoTAnnotation("p0", "cap", ["s1", "s2"], "conc", [5, 4, 5], True),
         CoTAnnotation("p1", "", [], "conc", [1, 1, 1], False),
+        *(random_annotation(rng, i) for i in range(40)),
     ]
     path = tmp_path / "a.jsonl"
     write_annotations(annotations, path)
     assert load_annotations(path) == annotations
+
+
+def test_nli_pairs_roundtrip(tmp_path):
+    rng = random.Random(2)
+    pairs = [(random_text(rng), random_text(rng)) for _ in range(40)]
+    write_nli_pairs(pairs, tmp_path / "n.jsonl")
+    assert load_nli_pairs(tmp_path / "n.jsonl") == pairs
 
 
 def test_accepted_annotation_needs_content():

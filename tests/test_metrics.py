@@ -1,5 +1,8 @@
 """Metric values against hand computation and brute-force oracles."""
 
+import json
+import random
+
 import numpy as np
 import pytest
 
@@ -256,8 +259,28 @@ def test_report_validates_monotone_recall():
         make_report(recall={1: 80.0, 5: 50.0})
 
 
+def random_k_map(rng: random.Random, top: float) -> dict[int, float]:
+    """Values non-decreasing in k, inserted in shuffled k order."""
+    ks = sorted(rng.sample(range(1, 60), rng.randint(0, 5)))
+    pairs = list(zip(ks, sorted(rng.uniform(0.0, top) for _ in ks)))
+    rng.shuffle(pairs)
+    return dict(pairs)
+
+
 def test_report_json_roundtrip_and_stability():
-    report = make_report()
-    text = report.to_json()
-    assert EvalReport.from_json(text) == report
-    assert report.to_json() == text  # stable serialization
+    rng = random.Random(0)
+    reports = [make_report()] + [
+        make_report(query_count=rng.randint(0, 500), subset_query_count=rng.randint(0, 500),
+                    recall=random_k_map(rng, 100.0), subset_recall=random_k_map(rng, 100.0),
+                    map_at=random_k_map(rng, 1.0), cirr_avg=rng.choice([None, 12.5]))
+        for _ in range(30)
+    ]
+    for report in reports:
+        text = report.to_json()
+        assert EvalReport.from_json(text) == report
+        assert EvalReport.from_json(text.encode("utf-8")) == report
+        assert report.to_json() == text  # stable serialization
+        doc = json.loads(text)
+        for name in ("recall", "subset_recall", "map_at"):
+            ks = list(getattr(report, name))
+            assert ks == sorted(ks) and list(doc[name]) == [str(k) for k in ks]

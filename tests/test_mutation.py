@@ -7,7 +7,8 @@ field, swap a value for one of another type, truncate the file, flip the
 bits of one byte, or put in an integer past Python's 4300-digit limit) and
 runs the command that reads it through cli.main. The command may succeed
 or fail, but it must return 0, 1 or 2 and never raise. A mutated checkpoint
-header is written before the unchanged float32 payload.
+header is written before the unchanged float32 payload. A truncated or
+bit-flipped float32 embeddings blob must fail its manifest checksum.
 """
 
 import json
@@ -99,11 +100,11 @@ def damage(rng: random.Random, text: str, how: str) -> bytes:
 
 def write_input(kind: str, inputs, data: bytes) -> str:
     """Write a damaged or mutated input where its command reads it."""
-    if kind == "ids":
-        # The ids file is named by a manifest beside it: use a copy of the store.
-        folder = inputs["root"] / "ids-store"
+    if kind in ("ids", "blob"):
+        # These files are named by a manifest beside them: use a copy of the store.
+        folder = inputs["root"] / f"{kind}-store"
         shutil.copytree(Path(inputs["embeddings"]).parent, folder, dirs_exist_ok=True)
-        (folder / "ids.txt").write_bytes(data)
+        (folder / ("ids.txt" if kind == "ids" else "embeddings.f32")).write_bytes(data)
         return str(folder / "manifest.json")
     # A manifest names its blob and ids files relative to its own directory.
     folder = Path(inputs["embeddings"]).parent if kind == "manifest" else inputs["root"]
@@ -129,7 +130,7 @@ def command(kind: str, inputs, path: str) -> list[str]:
     if kind == "annotations":
         return ["filter", "--annotations", path, "--accepted", out + ".acc.jsonl",
                 "--rejected", out + ".rej.jsonl"]
-    if kind in ("manifest", "ids"):
+    if kind in ("manifest", "ids", "blob"):
         return ["ingest", "--embeddings", path, "--triplets", inputs["triplets"]]
     if kind == "checkpoint":
         return ["eval", "--checkpoint", path, "--embeddings", inputs["embeddings"],
@@ -164,3 +165,17 @@ def test_damaged_input_ends_in_exit_code(inputs, capsys, kind):
     for how in ["flip"] * BYTE_FLIPS_PER_KIND + ["huge_int"]:
         data = damage(rng, text, how)
         run(kind, inputs, capsys, data, f"{how}: {data[:200]!r}")
+
+
+def test_damaged_blob_fails_its_checksum(inputs, capsys):
+    rng = random.Random("cirlite-damage-blob")
+    blob = (Path(inputs["embeddings"]).parent / "embeddings.f32").read_bytes()
+    for how in ["truncate"] * BYTE_FLIPS_PER_KIND + ["flip"] * BYTE_FLIPS_PER_KIND:
+        data = bytearray(blob)
+        if how == "truncate":
+            del data[rng.randrange(len(data)):]
+        else:
+            data[rng.randrange(len(data))] ^= rng.randrange(1, 256)
+        assert main(command("blob", inputs, write_input("blob", inputs, bytes(data)))) == 1, how
+        err = capsys.readouterr().err
+        assert err.startswith("error: checksum mismatch") and err.count("\n") == 1, (how, err)

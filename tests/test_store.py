@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,9 @@ from cirlite.store import (
     ChecksumMismatchError,
     CountMismatchError,
     DuplicateIdError,
+    _IS_TYPE,
     EmbeddingMatrix,
+    Manifest,
     ManifestError,
     NonFiniteValueError,
     StoreError,
@@ -66,8 +69,11 @@ def test_matrix_rejects_nan():
 
 
 def test_matrix_rejects_newline_ids():
-    with pytest.raises(Exception, match="invalid item id"):
-        EmbeddingMatrix(ids=["a\nb"], values=np.zeros((1, 2)))
+    # Every line break of str.splitlines, with which the ids file is read.
+    for item_id in ["a\nb", "a\rb", "a\r\nb", "ab\n", "", "a\x85b", "a\u2028b",
+                    "a\u2029b", "a\vb", "a\fb", "a\x1cb", "a\x1db", "a\x1eb"]:
+        with pytest.raises(StoreError, match="invalid item id"):
+            EmbeddingMatrix(ids=["ok", item_id], values=np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -77,11 +83,18 @@ def test_matrix_rejects_newline_ids():
 def test_save_load_roundtrip_bitwise(tmp_path):
     for seed in range(5):
         matrix = random_matrix(seed, count=10, dims=8)
+        if seed % 2:  # ids with spaces, tabs and non-ASCII text
+            rng = random.Random(seed)
+            ids = [f"{i} " + "".join(rng.choices(" a\té漢😀", k=rng.randint(0, 6)))
+                   for i in range(10)]
+            matrix = EmbeddingMatrix(ids=ids, values=matrix.values)
         manifest = save_embeddings(matrix, tmp_path / f"m{seed}")
         loaded = load_embeddings(tmp_path / f"m{seed}" / "manifest.json")
         assert loaded.ids == matrix.ids
         assert loaded.values.tobytes() == matrix.values.tobytes()
         assert manifest.count == 10 and manifest.dims == 8
+        doc = json.loads((tmp_path / f"m{seed}" / "manifest.json").read_text())
+        assert read_record(Manifest, doc, ManifestError, "manifest") == manifest
 
 
 def test_simple_manifest_loads(tmp_path):
@@ -233,6 +246,18 @@ def test_parse_json_accepts_bytes_and_text():
 def test_parse_json_failures_raise_the_given_error(raw):
     with pytest.raises(_ReaderError, match="^doc is malformed JSON: "):
         parse_json(raw, _ReaderError, "doc")
+
+
+def test_every_field_read_by_read_record_is_type_checked():
+    from cirlite.cli import RunConfig
+    from cirlite.data import _NLIPair
+    from cirlite.metrics import EvalReport
+    from cirlite.trainer import _CheckpointHeader
+
+    for cls in (Manifest, _CheckpointHeader, RunConfig, EvalReport, Triplet, CoTAnnotation,
+                _NLIPair):
+        for f in dataclasses.fields(cls):
+            assert f.type.removesuffix(" | None") in _IS_TYPE, (cls.__name__, f.name, f.type)
 
 
 def test_read_record_builds_the_class():

@@ -908,15 +908,23 @@ def test_checkpoint_file_roundtrip_stable(tmp_path):
 
 
 def test_checkpoint_values_are_f32_cast(tmp_path):
-    p = small_params(13)
-    save_checkpoint(p, tmp_path / "p.ckpt")
-    loaded = load_checkpoint(tmp_path / "p.ckpt")
-    for name in PARAM_FIELDS:
-        np.testing.assert_array_equal(
-            getattr(loaded, name),
-            getattr(p, name).astype("<f4").astype(np.float64),
-        )
-    assert loaded.temperature == p.temperature
+    rng = np.random.default_rng(13)
+    for i in range(6):
+        dims = dict(zip(SMALL, rng.integers(2, 9, size=len(SMALL)).tolist()))
+        p = dataclasses.replace(init_params(13 + i, **dims),
+                                temperature=float(rng.uniform(0.01, 1.0)))
+        seed = int(rng.integers(0, 2**31)) if i % 2 else None
+        save_checkpoint(p, tmp_path / "p.ckpt", seed=seed)
+        header, _ = trainer_mod._read_checkpoint(tmp_path / "p.ckpt")
+        assert header == trainer_mod._CheckpointHeader(
+            trainer_mod.CHECKPOINT_VERSION, **dims, temperature=p.temperature, seed=seed)
+        loaded = load_checkpoint(tmp_path / "p.ckpt")
+        for name in PARAM_FIELDS:
+            np.testing.assert_array_equal(
+                getattr(loaded, name),
+                getattr(p, name).astype("<f4").astype(np.float64),
+            )
+        assert loaded.temperature == p.temperature
 
 
 def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch):
