@@ -70,7 +70,6 @@ from .store import (
     EmbeddingMatrix,
     l2_normalize,
     load_embeddings,
-    lookup,
     save_embeddings,
 )
 from .trainer import (

@@ -219,8 +219,6 @@ def cmd_train(cfg: RunConfig) -> int:
         init = None  # --from-scratch: train_stage2 starts where train_stage1 would
         if cfg.init_checkpoint:
             init = trainer_mod.load_checkpoint(cfg.init_checkpoint)
-            # The checkpoint owns the vocabulary: tokenization must match it.
-            world = dataclasses.replace(world, vocab_size=init.vocab_size)
         elif not cfg.from_scratch:
             raise CirliteError(
                 "stage 2 needs --init-checkpoint (the stage-1 output) or --from-scratch"

@@ -156,6 +156,20 @@ def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB) -> list[int]:
     ]
 
 
+def query_inputs(matrix: EmbeddingMatrix, triplets, vocab_size: int):
+    """Each triplet's query input, for training and evaluation alike: its
+    reference embedding as a float64 row, and its modification tokens under
+    vocab_size, the vocabulary of the parameters that read them."""
+    tok_lists = [tokenize(t.modification_text, vocab_size) for t in triplets]
+    for t, toks in zip(triplets, tok_lists):
+        if not toks:
+            raise DatasetError(f"pair {t.pair_id!r}: modification tokenizes to nothing")
+    # Per-row copies, then one stack: views or one fancy-indexed copy raised eval-large-gallery's
+    # peak RSS by 12 MB on some seeds, all of it glibc heap fragmentation.
+    rows = [matrix.values[matrix.row_index(t.reference_id)].copy() for t in triplets]
+    return np.stack(rows).astype(np.float64), tok_lists
+
+
 def batch_iter(items, batch_size: int, seed: int):
     """Yield batches after a seeded shuffle; the last short batch is kept."""
     if batch_size < 1:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import tokenize
+from .data import query_inputs
 from .errors import CirliteError
 from .metrics import EvalReport, cirr_average, map_at_k, recall_at_k
 from .model import ParamSet, encode_queries, image_block
@@ -18,7 +18,7 @@ from .retrieval import (
     search_queries,
     write_ranked_results,
 )
-from .store import EmbeddingMatrix, lookup
+from .store import EmbeddingMatrix
 
 # benchmarks/tracing.py wraps these names in this module when its traced
 # mode starts, so they stay bound although evaluate_queries no longer calls
@@ -65,11 +65,7 @@ def evaluate_queries(
     index = project_gallery(p, matrix)
     max_map_k = max(map_k_list)
 
-    tok_lists = [tokenize(t.modification_text, p.vocab_size) for t in triplets]
-    for t, toks in zip(triplets, tok_lists):
-        if not toks:
-            raise EvalError(f"pair {t.pair_id!r}: modification tokenizes to nothing")
-    refs = np.stack([lookup(matrix, t.reference_id) for t in triplets]).astype(np.float64)
+    refs, tok_lists = query_inputs(matrix, triplets, p.vocab_size)
     q_mat = encode_queries(p, refs, tok_lists)[-1]
     ranks, subset_ranks, ranked_lists = search_queries(
         index, q_mat, [t.target_id for t in triplets],

@@ -129,15 +129,19 @@ class EvalReport:
                     type(k) is int or type(k) is str and k.isdecimal() for k in values):
                 setattr(self, name, dict(sorted({int(k): v for k, v in values.items()}.items())))
         check_field_types(self, MetricError)
+        if self.query_count < 1:  # evaluate_queries rejects an empty query set
+            raise MetricError(f"query_count must be >= 1, got {self.query_count}")
+        if not 0 <= self.subset_query_count <= self.query_count:
+            raise MetricError(f"subset_query_count must be in [0, query_count], "
+                              f"got {self.subset_query_count}")
         if self.cirr_avg is not None:
             _check_percent("cirr_avg", self.cirr_avg)
-        for k, value in self.recall.items():
-            _check_percent(f"recall@{k}", value)
-        for k, value in self.subset_recall.items():
-            _check_percent(f"subset_recall@{k}", value)
-        for k, value in self.map_at.items():
-            if not 0.0 <= value <= 1.0:
-                raise MetricError(f"mAP@{k} must be in [0, 1], got {value}")
+        for name, top in (("recall", 100), ("subset_recall", 100), ("map_at", 1)):
+            for k, value in getattr(self, name).items():
+                if k < 1:
+                    raise MetricError(f"{name} keys must be >= 1, got {k}")
+                if not 0.0 <= value <= top:
+                    raise MetricError(f"{name}@{k} must be in [0, {top}], got {value}")
         ks = list(self.recall)
         for lo, hi in zip(ks, ks[1:]):
             if self.recall[lo] > self.recall[hi]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CirliteError
-from .store import EmbeddingMatrix, ZeroVectorError, l2_normalize, write_jsonl
+from .store import EmbeddingMatrix, ZeroVectorError, l2_normalize, row_map, write_jsonl
 
 # Score blocks hold at most this many bytes of float64 cosines, so scoring a
 # batch of any size stays bounded in memory, at 65 535 gallery items too.
@@ -35,7 +35,7 @@ class GalleryIndex:
     _id_rank: np.ndarray = field(init=False, repr=False)  # row -> place in id order
 
     def __post_init__(self):
-        self._row_of = {item_id: i for i, item_id in enumerate(self.ids)}
+        self._row_of = row_map(self.ids)
         self._id_rank = np.argsort(np.argsort(np.array(self.ids, dtype=str)))
 
     @property

@@ -112,13 +112,8 @@ class EmbeddingMatrix:
                 raise StoreError(f"invalid item id: {item_id!r}")
         if not np.all(np.isfinite(values)):
             raise NonFiniteValueError("embedding values contain NaN or Inf")
-        row_of: dict[str, int] = {}
-        for i, item_id in enumerate(self.ids):
-            if item_id in row_of:
-                raise DuplicateIdError(f"duplicate item id: {item_id!r}")
-            row_of[item_id] = i
+        self._row_of = row_map(self.ids)
         self.values = values
-        self._row_of = row_of
 
     @property
     def count(self) -> int:
@@ -135,9 +130,13 @@ class EmbeddingMatrix:
             raise UnknownIdError(f"unknown item id: {item_id!r}") from None
 
 
-def lookup(matrix: EmbeddingMatrix, item_id: str) -> np.ndarray:
-    """Return a copy of the embedding row for ``item_id``."""
-    return matrix.values[matrix.row_index(item_id)].copy()
+def row_map(ids) -> dict[str, int]:
+    """id -> row of distinct ids; the first repeated id raises DuplicateIdError."""
+    row_of: dict[str, int] = {}
+    for i, item_id in enumerate(ids):
+        if row_of.setdefault(item_id, i) != i:
+            raise DuplicateIdError(f"duplicate item id: {item_id!r}")
+    return row_of
 
 
 def l2_normalize(v) -> np.ndarray:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EOS_TOKEN, SynthWorld, batch_iter, tokenize
+from .data import EOS_TOKEN, SynthWorld, batch_iter, query_inputs, tokenize
 from .errors import CirliteError
 from .model import (
     PARAM_FIELDS,
@@ -36,8 +36,7 @@ from .model import (
     pool_tokens,
     text_block,
 )
-from .store import (check_field_types, lookup, parse_json, read_record, write_atomic,
-                    write_jsonl)
+from .store import check_field_types, parse_json, read_record, write_atomic, write_jsonl
 
 CHECKPOINT_VERSION = 1
 
@@ -238,12 +237,6 @@ def combined_loss(l_txt, l_info, lambda_txt, lambda_info) -> float:
 # ---------------------------------------------------------------------------
 # Backward pass
 # ---------------------------------------------------------------------------
-
-def batch_loss(p: ParamSet, batch, config: TrainConfig):
-    """Forward pass plus both losses; returns (combined, l_txt, l_info)."""
-    losses = _stage2_step(p, batch, config)[1]
-    return losses["combined"], losses["l_txt"], losses["l_info"]
-
 
 def backward(p: ParamSet, trace: ForwardTrace, batch, config: TrainConfig) -> GradientSet:
     """Exact gradient of the combined loss for every parameter tensor.
@@ -521,11 +514,10 @@ def _loop_seed(seed: int, stage: int, epoch: int) -> int:
     return (seed * 1_000_003 + stage * 1_009 + epoch) & 0x7FFFFFFF
 
 
-def _initial_params(world: SynthWorld, config: TrainConfig, init: ParamSet | None) -> ParamSet:
-    """init, or else both stages' seeded initialization sized to the world."""
-    return init if init is not None else init_params(
-        config.seed, vocab_size=world.vocab_size, d_img=world.embeddings.dims,
-        temperature=config.tau)
+def _fresh_params(world: SynthWorld, config: TrainConfig) -> ParamSet:
+    """Both stages' seeded initialization, sized by the world's vocabulary."""
+    return init_params(config.seed, vocab_size=world.vocab_size,
+                       d_img=world.embeddings.dims, temperature=config.tau)
 
 
 def _train(p: ParamSet, items, config: TrainConfig, step, loss_log) -> ParamSet:
@@ -568,7 +560,7 @@ def _stage2_step(p: ParamSet, batch, config: TrainConfig):
 
 
 def train_stage1(world: SynthWorld, config: TrainConfig, *,
-                 init: ParamSet | None = None, loss_log: list | None = None) -> ParamSet:
+                 loss_log: list | None = None) -> ParamSet:
     """Text-only contrastive pretraining on premise/paraphrase pairs.
 
     Updates only the token table and the text projection; every other tensor
@@ -578,15 +570,15 @@ def train_stage1(world: SynthWorld, config: TrainConfig, *,
         raise TrainerError(f"train_stage1 got a stage-{config.stage} config")
     if not world.nli_pairs:
         raise TrainerError("no text pairs to train on")
+    p = _fresh_params(world, config)
     token_pairs = []
     for i, (premise, positive) in enumerate(world.nli_pairs):
-        prem = tokenize(premise, world.vocab_size)
-        pos = tokenize(positive, world.vocab_size)
+        prem = tokenize(premise, p.vocab_size)
+        pos = tokenize(positive, p.vocab_size)
         if not prem or not pos:
             raise TrainerError(f"text pair {i} tokenizes to an empty sequence")
         token_pairs.append((prem, pos))
-    return _train(_initial_params(world, config, init), token_pairs, config,
-                  _stage1_gradients, loss_log)
+    return _train(p, token_pairs, config, _stage1_gradients, loss_log)
 
 
 def supervision_text(annotation, mode: str) -> str:
@@ -597,40 +589,37 @@ def supervision_text(annotation, mode: str) -> str:
     return " ".join(part for part in parts if part)
 
 
-def build_training_items(world: SynthWorld, annotations, mode: str) -> list[BatchItem]:
-    """Join accepted annotations to their triplets and embed both sides."""
+def build_training_items(world: SynthWorld, annotations, mode: str,
+                         vocab_size: int) -> list[BatchItem]:
+    """Join accepted annotations to their triplets; embed and tokenize under vocab_size."""
     accepted = [a for a in annotations if a.accepted]
     if not accepted:
         raise TrainerError("no accepted annotations")
     by_pair = {t.pair_id: t for t in world.triplets}
-    items = []
+    triplets = []
     for a in accepted:
-        t = by_pair.get(a.pair_id)
-        if t is None:
+        if a.pair_id not in by_pair:
             raise TrainerError(f"annotation {a.pair_id!r} has no matching triplet")
-        mod_toks = tokenize(t.modification_text, world.vocab_size)
-        if not mod_toks:
-            raise TrainerError(f"pair {a.pair_id!r}: empty modification tokens")
-        items.append(
-            BatchItem(
-                img_vec=lookup(world.embeddings, t.reference_id).astype(np.float64),
-                mod_toks=mod_toks,
-                target_img_vec=lookup(world.embeddings, t.target_id).astype(np.float64),
-                target_toks=tokenize(supervision_text(a, mode), world.vocab_size),
-            )
-        )
-    return items
+        triplets.append(by_pair[a.pair_id])
+    matrix = world.embeddings
+    refs, mod_toks = query_inputs(matrix, triplets, vocab_size)
+    targets = matrix.values[[matrix.row_index(t.target_id) for t in triplets]].astype(np.float64)
+    return [
+        BatchItem(img_vec=ref, mod_toks=toks, target_img_vec=target,
+                  target_toks=tokenize(supervision_text(a, mode), vocab_size))
+        for a, ref, toks, target in zip(accepted, refs, mod_toks, targets)
+    ]
 
 
 def train_stage2(world: SynthWorld, annotations, init: ParamSet | None,
                  config: TrainConfig, *, loss_log: list | None = None) -> ParamSet:
     """Full-parameter training with the combined objective. Deterministic.
-    Without init, starts where train_stage1 would."""
+    Starts from init, or else where train_stage1 would; tokenizes under its vocabulary."""
     if config.stage != 2:
         raise TrainerError(f"train_stage2 got a stage-{config.stage} config")
-    items = build_training_items(world, annotations, config.annotation_mode)
-    return _train(_initial_params(world, config, init), items, config,
-                  _stage2_step, loss_log)
+    p = init if init is not None else _fresh_params(world, config)
+    items = build_training_items(world, annotations, config.annotation_mode, p.vocab_size)
+    return _train(p, items, config, _stage2_step, loss_log)
 
 
 # ---------------------------------------------------------------------------

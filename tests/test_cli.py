@@ -322,6 +322,14 @@ _BAD_REPORT_FIELDS = {
     json.dumps({**_GOOD_REPORT, "subset_recall": {"1.5": 50.0}}): "subset_recall must be",
     json.dumps({**_GOOD_REPORT, "map_at": [0.5]}): "map_at must be",
     json.dumps({**_GOOD_REPORT, "map_at": {"5": None}}): "map_at must be",
+    json.dumps({**_GOOD_REPORT, "query_count": 0}): "query_count must be >= 1",
+    json.dumps({**_GOOD_REPORT, "query_count": -3, "subset_query_count": 7,
+                "recall": {"0": 50.0}}): "query_count must be >= 1",
+    json.dumps({**_GOOD_REPORT, "subset_query_count": -1}): "subset_query_count must be",
+    json.dumps({**_GOOD_REPORT, "subset_query_count": 3}): "subset_query_count must be",
+    json.dumps({**_GOOD_REPORT, "recall": {"0": 50.0}}): " recall keys must be >= 1",
+    json.dumps({**_GOOD_REPORT, "subset_recall": {"0": 50.0}}): "subset_recall keys must be",
+    json.dumps({**_GOOD_REPORT, "map_at": {"0": 0.5}}): "map_at keys must be >= 1",
 }
 
 
@@ -405,6 +413,15 @@ def test_full_pipeline_and_determinism(world_dir, tmp_path):
         assert fa.read() == fb.read()
 
 
+def test_initialised_stage2_ignores_tau_and_vocab_size(world_dir, tmp_path):
+    # --tau and --vocab-size size a fresh start only: with --init-checkpoint
+    # the checkpoint's temperature and vocabulary are used.
+    ck_a, _ = run_pipeline(world_dir, tmp_path / "a", epochs=1)
+    ck_b, _ = run_pipeline(world_dir, tmp_path / "b", epochs=1,
+                           extra_train=("--tau", "0.5", "--vocab-size", "64"))
+    assert Path(ck_a).read_bytes() == Path(ck_b).read_bytes()
+
+
 def test_report_command_prints_metrics(world_dir, tmp_path, capsys):
     _, rep = run_pipeline(world_dir, tmp_path / "r", epochs=1)
     capsys.readouterr()
@@ -464,8 +481,8 @@ def test_fast_mode_trains_on_fewer_tokens(world_dir, tmp_path):
         vocab_size=512,
     )
     accepted = load_annotations(tmp_path / "acc.jsonl")
-    full = sum(len(i.target_toks) for i in build_training_items(world, accepted, "full"))
-    fast = sum(len(i.target_toks) for i in build_training_items(world, accepted, "fast"))
+    full = sum(len(i.target_toks) for i in build_training_items(world, accepted, "full", 512))
+    fast = sum(len(i.target_toks) for i in build_training_items(world, accepted, "fast", 512))
     assert fast < full
 
 

@@ -18,6 +18,7 @@ from cirlite.data import (
     load_nli_pairs,
     load_triplets,
     oracle_query_vector,
+    query_inputs,
     save_world,
     tokenize,
     write_annotations,
@@ -25,7 +26,7 @@ from cirlite.data import (
     write_triplets,
 )
 from cirlite.retrieval import build_index, rank_of
-from cirlite.store import load_embeddings
+from cirlite.store import EmbeddingMatrix, UnknownIdError, load_embeddings
 
 
 def make_triplet(**overrides):
@@ -270,6 +271,29 @@ def test_tokenize_range_reserves_eos():
 def test_tokenize_vocab_too_small():
     with pytest.raises(DatasetError):
         tokenize("hello", 1)
+
+
+# ---------------------------------------------------------------------------
+# query_inputs
+# ---------------------------------------------------------------------------
+
+def test_query_inputs_rows_and_tokens():
+    matrix = EmbeddingMatrix(ids=["a", "b", "c"], values=np.arange(6.0).reshape(3, 2) / 7)
+    triplets = [Triplet("p0", "c", "addred dropblue", "a"), Triplet("p1", "a", "addtall", "b")]
+    refs, toks = query_inputs(matrix, triplets, 64)
+    assert refs.dtype == np.float64
+    np.testing.assert_array_equal(refs, matrix.values[[2, 0]].astype(np.float64))
+    assert toks == [tokenize("addred dropblue", 64), tokenize("addtall", 64)]
+    assert query_inputs(matrix, triplets, 4096)[1][1] == tokenize("addtall", 4096)
+
+
+def test_query_inputs_rejects_empty_modification_and_unknown_reference():
+    matrix = EmbeddingMatrix(ids=["a", "b"], values=np.eye(2))
+    with pytest.raises(DatasetError, match="pair 'p1': modification tokenizes to nothing"):
+        query_inputs(matrix, [Triplet("p0", "a", "addred", "b"),
+                              Triplet("p1", "a", " ,. ", "b")], 64)
+    with pytest.raises(UnknownIdError, match="'ghost'"):
+        query_inputs(matrix, [Triplet("p0", "ghost", "addred", "b")], 64)
 
 
 # ---------------------------------------------------------------------------

@@ -270,7 +270,7 @@ def random_k_map(rng: random.Random, top: float) -> dict[int, float]:
 def test_report_json_roundtrip_and_stability():
     rng = random.Random(0)
     reports = [make_report()] + [
-        make_report(query_count=rng.randint(0, 500), subset_query_count=rng.randint(0, 500),
+        make_report(query_count=(n := rng.randint(1, 500)), subset_query_count=rng.randint(0, n),
                     recall=random_k_map(rng, 100.0), subset_recall=random_k_map(rng, 100.0),
                     map_at=random_k_map(rng, 1.0), cirr_avg=rng.choice([None, 12.5]))
         for _ in range(30)

@@ -14,7 +14,7 @@ from cirlite.retrieval import (
     search_topk_batch,
     subset_rank,
 )
-from cirlite.store import EmbeddingMatrix, ZeroVectorError, l2_normalize
+from cirlite.store import DuplicateIdError, EmbeddingMatrix, ZeroVectorError, l2_normalize
 
 
 def sorted_oracle(index, q):
@@ -67,6 +67,11 @@ def test_index_zero_row_names_id():
     values[1] = 0.0
     with pytest.raises(ZeroVectorError, match="mid"):
         build_index_from_vectors(["a", "mid", "c"], values)
+
+
+def test_index_duplicate_id_rejected():
+    with pytest.raises(DuplicateIdError, match="'a'"):
+        build_index_from_vectors(["a", "b", "a"], [[1, 0], [0, 1], [-1, 0]])
 
 
 def test_index_rebuild_identical():

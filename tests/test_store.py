@@ -32,7 +32,6 @@ from cirlite.store import (
     ZeroVectorError,
     l2_normalize,
     load_embeddings,
-    lookup,
     parse_json,
     read_record,
     save_embeddings,
@@ -328,24 +327,25 @@ def test_cosine_matches_textbook_formula():
 
 
 # ---------------------------------------------------------------------------
-# lookup
+# row_index
 # ---------------------------------------------------------------------------
 
-def test_lookup_known_id():
+def test_row_index_known_id():
     matrix = random_matrix(3, count=5, dims=4)
-    np.testing.assert_array_equal(lookup(matrix, "item002"), matrix.values[2])
+    assert matrix.row_index("item002") == 2
 
 
-def test_lookup_unknown_id():
+def test_row_index_unknown_id():
     with pytest.raises(UnknownIdError):
-        lookup(random_matrix(3, count=5, dims=4), "nope")
+        random_matrix(3, count=5, dims=4).row_index("nope")
 
 
-def test_lookup_survives_roundtrip(tmp_path):
+def test_row_index_survives_roundtrip(tmp_path):
     matrix = random_matrix(4, count=5, dims=4)
     save_embeddings(matrix, tmp_path)
     loaded = load_embeddings(tmp_path / "manifest.json")
-    np.testing.assert_array_equal(lookup(loaded, "item003"), lookup(matrix, "item003"))
+    assert loaded.row_index("item003") == matrix.row_index("item003") == 3
+    np.testing.assert_array_equal(loaded.values[3], matrix.values[3])
 
 
 # ---------------------------------------------------------------------------

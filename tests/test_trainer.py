@@ -20,15 +20,14 @@ from cirlite.trainer import (
     GradientSet,
     TrainConfig,
     TrainerError,
-    _backward_with_losses,
     _fd_block_sizes,
     _info_nce_full,
     _infonce_loss_only,
     _make_loss_fn,
     _stage1_gradients,
+    _stage2_step,
     _text_encoder_backward,
     backward,
-    batch_loss,
     central_difference,
     checkpoint_seed,
     combined_loss,
@@ -539,19 +538,6 @@ def test_finite_diff_block_respects_byte_cap():
     assert _fd_block_sizes(p, 1)["b_txt"] > 1
 
 
-def test_backward_losses_equal_batch_loss_bitwise():
-    # One softmax-CE and one InfoNCE serve both the training step and
-    # batch_loss, so the reported losses agree to the last bit.
-    config = TrainConfig(stage=2)
-    for seed in range(4):
-        p = small_params(seed)
-        for batch in (small_batch(seed, n=4), repeated_bigram_batch(seed)):
-            _, l_txt, l_info = batch_loss(p, batch, config)
-            _, _, _, trace = forward_batch(p, batch)
-            _, bw_txt, bw_info = _backward_with_losses(p, trace, batch, config)
-            assert (bw_txt, bw_info) == (l_txt, l_info)
-
-
 def test_text_encoder_backward_equals_per_sequence_scatter_bitwise():
     # One scatter over the concatenated token ids adds in the same order as
     # one scatter per sequence, also where tokens repeat within and across
@@ -814,8 +800,8 @@ def test_stage2_rejects_no_accepted(tiny_world):
 def test_stage2_fast_mode_uses_fewer_tokens(tiny_world, tiny_accepted):
     from cirlite.trainer import build_training_items
 
-    full_items = build_training_items(tiny_world, tiny_accepted, "full")
-    fast_items = build_training_items(tiny_world, tiny_accepted, "fast")
+    full_items = build_training_items(tiny_world, tiny_accepted, "full", tiny_world.vocab_size)
+    fast_items = build_training_items(tiny_world, tiny_accepted, "fast", tiny_world.vocab_size)
     full_tokens = sum(len(i.target_toks) for i in full_items)
     fast_tokens = sum(len(i.target_toks) for i in fast_items)
     assert fast_tokens < full_tokens
@@ -841,6 +827,22 @@ def test_stage2_without_init_starts_where_stage1_would(tiny_world, tiny_accepted
         np.testing.assert_array_equal(getattr(fresh, name), getattr(given, name))
     assert fresh.temperature == given.temperature == 0.05
     assert log_none == log_init
+
+
+def test_stage2_tokenizes_with_the_init_vocabulary(tiny_world, tiny_accepted):
+    # The parameters own the vocabulary: the world's vocab_size sizes a fresh
+    # start only, so an init with a larger vocabulary trains as if the world
+    # had been built with it.
+    config = default_config(2, seed=6, epochs=1)
+    init = init_params(6, vocab_size=2 * tiny_world.vocab_size,
+                       d_img=tiny_world.embeddings.dims)
+    same_vocab = dataclasses.replace(tiny_world, vocab_size=init.vocab_size)
+    log_small, log_same = [], []
+    small = train_stage2(tiny_world, tiny_accepted, init, config, loss_log=log_small)
+    same = train_stage2(same_vocab, tiny_accepted, init, config, loss_log=log_same)
+    for name in PARAM_FIELDS:
+        np.testing.assert_array_equal(getattr(small, name), getattr(same, name))
+    assert log_small == log_same
 
 
 # sha256 of a tiny-world stage-1 then stage-2 run, taken before both stages
@@ -1065,12 +1067,11 @@ def test_checkpoint_header_int_temperature_and_null_seed_load(tmp_path):
     assert checkpoint_seed(path) is None
 
 
-def test_batch_loss_components(tmp_path):
+def test_stage2_step_loss_components():
     p = small_params(14)
     batch = small_batch(14)
-    combined, l_txt, l_info = batch_loss(p, batch, TrainConfig(stage=2))
-    assert combined == pytest.approx(l_txt + l_info)
-    combined2, _, _ = batch_loss(
-        p, batch, TrainConfig(stage=2, lambda_txt=0.5, lambda_info=2.0)
-    )
-    assert combined2 == pytest.approx(0.5 * l_txt + 2.0 * l_info)
+    losses = _stage2_step(p, batch, TrainConfig(stage=2))[1]
+    assert losses["combined"] == pytest.approx(losses["l_txt"] + losses["l_info"])
+    config = TrainConfig(stage=2, lambda_txt=0.5, lambda_info=2.0)
+    weighted = _stage2_step(p, batch, config)[1]
+    assert weighted["combined"] == pytest.approx(0.5 * losses["l_txt"] + 2.0 * losses["l_info"])
