@@ -77,7 +77,6 @@ from .trainer import (
     backward,
     combined_loss,
     cross_entropy_seq,
-    default_config,
     finite_diff_grad,
     info_nce,
     load_checkpoint,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import math
 import re
 import time
 import urllib.error
@@ -263,6 +264,10 @@ class _RemoteClient:
     """An endpoint URL with the timeout and retry count of its requests."""
 
     def __init__(self, endpoint: str, timeout: float = 30.0, retries: int = 2):
+        if not 0 < timeout < math.inf:
+            raise EndpointError(f"endpoint timeout must be finite and > 0, got {timeout}")
+        if retries < 0:
+            raise EndpointError(f"endpoint retries must be >= 0, got {retries}")
         self.endpoint = endpoint
         self.timeout = timeout
         self.retries = retries

@@ -48,13 +48,13 @@ class RunConfig:
     learning_rate: float | None = None
     batch_size: int | None = None
     epochs: int | None = None
-    lambda_txt: float = 1.0
-    lambda_info: float = 1.0
-    tau: float = 0.07
+    lambda_txt: float = trainer_mod.TrainConfig.lambda_txt
+    lambda_info: float = trainer_mod.TrainConfig.lambda_info
+    tau: float = trainer_mod.TrainConfig.tau
     seed: int = 0
-    annotation_mode: str = "full"
+    annotation_mode: str = trainer_mod.TrainConfig.annotation_mode
     from_scratch: bool = False
-    vocab_size: int = data_mod.DEFAULT_VOCAB
+    vocab_size: int = trainer_mod.TrainConfig.vocab_size
     # Annotation
     mock: bool = False
     n_judges: int = 3
@@ -130,10 +130,7 @@ def _load_world(cfg: RunConfig, *, with_triplets: bool, with_pairs: bool) -> dat
     if with_pairs:
         _require(cfg, "nli_pairs")
         pairs = data_mod.load_nli_pairs(cfg.nli_pairs)
-    return data_mod.SynthWorld(
-        embeddings=matrix, triplets=triplets, nli_pairs=pairs,
-        vocab_size=cfg.vocab_size,
-    )
+    return data_mod.SynthWorld(embeddings=matrix, triplets=triplets, nli_pairs=pairs)
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
@@ -199,9 +196,9 @@ def cmd_filter(cfg: RunConfig) -> int:
 
 
 def _train_config(cfg: RunConfig) -> trainer_mod.TrainConfig:
-    # Every TrainConfig setting by name; unset ones (None) take default_config's.
+    # Every TrainConfig setting by name; unset ones (None) take TrainConfig's defaults.
     names = [f.name for f in dataclasses.fields(trainer_mod.TrainConfig)]
-    return trainer_mod.default_config(
+    return trainer_mod.TrainConfig(
         **{name: getattr(cfg, name) for name in names if getattr(cfg, name) is not None})
 
 
@@ -309,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name in ("seed", *names):
             kwargs = dict(_FLAG_PARSERS[_FIELD_TYPES[name].removesuffix(" | None")])
             if name == "annotation_mode":
-                kwargs["choices"] = ("full", "fast")
+                kwargs["choices"] = trainer_mod.ANNOTATION_MODES
             p.add_argument("--" + name.replace("_", "-"), default=None, dest=name, **kwargs)
     return parser
 

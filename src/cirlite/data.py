@@ -182,7 +182,7 @@ def batch_iter(items, batch_size: int, seed: int):
 
 @dataclass
 class SynthWorld:
-    """A self-contained composed-retrieval dataset.
+    """A self-contained composed-retrieval dataset: data only, no training setting.
 
     Synthetic worlds additionally carry their generative rule (attribute
     names, per-item attribute vectors, and the attribute basis) so tests can
@@ -193,7 +193,6 @@ class SynthWorld:
     embeddings: EmbeddingMatrix
     triplets: list[Triplet]
     nli_pairs: list[tuple[str, str]]
-    vocab_size: int
     attr_names: list[str] | None = None
     item_attrs: np.ndarray | None = None   # (count, n_attrs) in {0, 1}
     attr_basis: np.ndarray | None = None   # (n_attrs, dims), orthonormal rows
@@ -229,7 +228,6 @@ def generate_synthetic_world(
     seed: int,
     n_items: int,
     n_attrs: int,
-    vocab_size: int = DEFAULT_VOCAB,
     *,
     n_triplets: int | None = None,
     subset_size: int = 6,
@@ -260,8 +258,6 @@ def generate_synthetic_world(
         )
     if dims < n_attrs:
         raise DatasetError(f"dims must be >= n_attrs, got {dims} < {n_attrs}")
-    if vocab_size < 2:
-        raise DatasetError(f"vocab_size must be >= 2, got {vocab_size}")
     if subset_size < 1:
         raise DatasetError(f"subset_size must be >= 1, got {subset_size}")
 
@@ -339,7 +335,6 @@ def generate_synthetic_world(
         embeddings=embeddings,
         triplets=triplets,
         nli_pairs=nli_pairs,
-        vocab_size=vocab_size,
         attr_names=names,
         item_attrs=attrs,
         attr_basis=basis,

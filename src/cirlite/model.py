@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import EOS_TOKEN
+from .data import DEFAULT_VOCAB, EOS_TOKEN
 from .errors import CirliteError
 
 # ParamSet tensor fields in fixed serialization order.
@@ -113,7 +113,7 @@ class ParamSet:
 def init_params(
     seed: int,
     *,
-    vocab_size: int = 4096,
+    vocab_size: int = DEFAULT_VOCAB,
     d_tok: int = DEFAULT_DIMS["d_tok"],
     d_img: int = DEFAULT_DIMS["d_img"],
     d_joint: int = DEFAULT_DIMS["d_joint"],

@@ -82,6 +82,8 @@ def _scores(idx: GalleryIndex, q_rows) -> np.ndarray:
     the gallery, one row per query and one column per gallery item."""
     if np.ndim(q_rows) != 2:
         raise ZeroVectorError("expected a non-empty 1-d vector")
+    if np.shape(q_rows)[1] != idx.dims:
+        raise RetrievalError(f"query width {np.shape(q_rows)[1]} != gallery width {idx.dims}")
     return l2_normalize(q_rows) @ idx.vectors.T
 
 

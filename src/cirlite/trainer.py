@@ -23,9 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EOS_TOKEN, SynthWorld, batch_iter, query_inputs, tokenize
+from .data import DEFAULT_VOCAB, EOS_TOKEN, SynthWorld, batch_iter, query_inputs, tokenize
 from .errors import CirliteError
 from .model import (
+    DEFAULT_TEMPERATURE,
     PARAM_FIELDS,
     BatchItem,
     ForwardTrace,
@@ -42,6 +43,7 @@ CHECKPOINT_VERSION = 1
 
 STAGE1_DEFAULTS = dict(epochs=2)
 STAGE2_DEFAULTS = dict(epochs=20)
+ANNOTATION_MODES = ("full", "fast")
 
 
 class TrainerError(CirliteError):
@@ -54,50 +56,49 @@ class CheckpointError(CirliteError):
 
 @dataclass
 class TrainConfig:
-    """Knobs for one training stage.
+    """Every setting of one training stage, a fresh start's included.
 
+    Unset epochs take the stage's default (STAGE1_DEFAULTS, STAGE2_DEFAULTS).
+    vocab_size and tau size a fresh start only; a ParamSet keeps its own.
     annotation_mode selects the supervision text: "full" concatenates
-    caption, reasoning steps, and conclusion; "fast" keeps the conclusion
-    only. Loss weights default to 1.0 each.
+    caption, reasoning steps, and conclusion; "fast" the conclusion only.
     """
 
     stage: int
     learning_rate: float = 0.05
     batch_size: int = 32
-    epochs: int = 3
+    epochs: int | None = None
     lambda_txt: float = 1.0
     lambda_info: float = 1.0
-    tau: float = 0.07
+    tau: float = DEFAULT_TEMPERATURE
     seed: int = 0
     annotation_mode: str = "full"
+    vocab_size: int = DEFAULT_VOCAB
 
     def __post_init__(self):
         check_field_types(self, TrainerError, "train config")
         if self.stage not in (1, 2):
             raise TrainerError(f"stage must be 1 or 2, got {self.stage}")
-        if self.learning_rate <= 0:
-            raise TrainerError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.epochs is None:
+            self.epochs = (STAGE1_DEFAULTS, STAGE2_DEFAULTS)[self.stage - 1]["epochs"]
+        if not 0 < self.learning_rate < np.inf:
+            raise TrainerError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise TrainerError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise TrainerError(f"epochs must be >= 0, got {self.epochs}")
-        if self.lambda_txt < 0 or self.lambda_info < 0:
-            raise TrainerError("loss weights must be non-negative")
-        if self.tau <= 0:
-            raise TrainerError(f"tau must be > 0, got {self.tau}")
+        for name in ("lambda_txt", "lambda_info"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise TrainerError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not 0 < self.tau < np.inf:
+            raise TrainerError(f"tau must be finite and > 0, got {self.tau}")
         if self.seed < 0:
             raise TrainerError(f"seed must be >= 0, got {self.seed}")
-        if self.annotation_mode not in ("full", "fast"):
-            raise TrainerError(
-                f"annotation_mode must be 'full' or 'fast', got {self.annotation_mode!r}"
-            )
-
-
-def default_config(stage: int, seed: int = 0, **overrides) -> TrainConfig:
-    """Per-stage default configuration (stage 1: 2 epochs, stage 2: 20)."""
-    base = STAGE1_DEFAULTS if stage == 1 else STAGE2_DEFAULTS
-    merged = {**base, **overrides}
-    return TrainConfig(stage=stage, seed=seed, **merged)
+        if self.annotation_mode not in ANNOTATION_MODES:
+            raise TrainerError(f"annotation_mode must be in {ANNOTATION_MODES}, "
+                               f"got {self.annotation_mode!r}")
+        if self.vocab_size < 2:
+            raise TrainerError(f"vocab_size must be >= 2, got {self.vocab_size}")
 
 
 GradientSet = make_dataclass(
@@ -515,8 +516,8 @@ def _loop_seed(seed: int, stage: int, epoch: int) -> int:
 
 
 def _fresh_params(world: SynthWorld, config: TrainConfig) -> ParamSet:
-    """Both stages' seeded initialization, sized by the world's vocabulary."""
-    return init_params(config.seed, vocab_size=world.vocab_size,
+    """Both stages' seeded start: the config's vocabulary and temperature."""
+    return init_params(config.seed, vocab_size=config.vocab_size,
                        d_img=world.embeddings.dims, temperature=config.tau)
 
 

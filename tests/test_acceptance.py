@@ -37,7 +37,6 @@ from cirlite.trainer import (
     TrainConfig,
     backward,
     cross_entropy_seq,
-    default_config,
     finite_diff_grad,
     info_nce,
     max_relative_error,
@@ -275,8 +274,8 @@ def test_criterion_5_retrieval_oracle():
 def test_criterion_6_end_to_end_learning(default_world):
     start = time.time()
     world, train_world, accepted, eval_triplets = default_world
-    p1 = train_stage1(train_world, default_config(1, seed=0))
-    p2 = train_stage2(train_world, accepted, p1, default_config(2, seed=0))
+    p1 = train_stage1(train_world, TrainConfig(stage=1, seed=0))
+    p2 = train_stage2(train_world, accepted, p1, TrainConfig(stage=2, seed=0))
     result = evaluate_queries(p2, world.embeddings, eval_triplets)
     elapsed = time.time() - start
     r1, r5 = result.recall[1], result.recall[5]
@@ -305,8 +304,8 @@ def test_criterion_7_ablation_trend():
         accepted, _ = filter_annotations([(a, a.judge_scores) for a in anns])
         train_world = dataclasses.replace(world, triplets=train_triplets)
 
-        pretrained = train_stage1(train_world, default_config(1, seed=seed))
-        fresh = init_params(seed, vocab_size=world.vocab_size,
+        pretrained = train_stage1(train_world, TrainConfig(stage=1, seed=seed))
+        fresh = init_params(seed, vocab_size=4096,
                             d_img=world.embeddings.dims)
         arms = (
             ("stage1_cot", pretrained, 1.0),
@@ -314,7 +313,7 @@ def test_criterion_7_ablation_trend():
             ("neither", fresh, 0.0),
         )
         for name, init, lambda_txt in arms:
-            config = default_config(2, seed=seed, lambda_txt=lambda_txt)
+            config = TrainConfig(stage=2, seed=seed, lambda_txt=lambda_txt)
             params = train_stage2(train_world, accepted, init, config)
             result = evaluate_queries(params, world.embeddings, eval_triplets)
             sums[name] += result.recall[1]
@@ -365,7 +364,7 @@ def test_criterion_8_lambda_sweep():
     )
 
     # Both sweep points train to completion and log both loss components.
-    world = generate_synthetic_world(3, 80, 8, vocab_size=512,
+    world = generate_synthetic_world(3, 80, 8,
                                      n_triplets=160, dims=32)
     anns, _ = annotate_triplets(
         world.triplets, MockGenerator(3), [MockJudge(3 + i) for i in range(3)]
@@ -373,11 +372,11 @@ def test_criterion_8_lambda_sweep():
     accepted, _ = filter_annotations([(a, a.judge_scores) for a in anns])
     ok_logs = True
     for lambda_txt in (0.0, 1.0):
-        init = init_params(3, vocab_size=world.vocab_size,
+        init = init_params(3, vocab_size=512,
                            d_img=world.embeddings.dims)
         log = []
         train_stage2(world, accepted, init,
-                     default_config(2, seed=3, epochs=4, lambda_txt=lambda_txt),
+                     TrainConfig(stage=2, seed=3, epochs=4, lambda_txt=lambda_txt),
                      loss_log=log)
         ok_logs &= bool(log) and all(
             "l_txt" in entry and "l_info" in entry for entry in log

@@ -23,7 +23,7 @@ from cirlite.data import (
 @pytest.fixture(scope="module")
 def world_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("world")
-    world = generate_synthetic_world(42, 40, 6, vocab_size=512, n_triplets=80, dims=16)
+    world = generate_synthetic_world(42, 40, 6, n_triplets=80, dims=16)
     paths = save_world(world, root)
     write_triplets(world.triplets[:60], root / "train.jsonl")
     write_triplets(world.triplets[60:], root / "eval.jsonl")
@@ -115,7 +115,7 @@ def test_stage2_requires_init_or_from_scratch(world_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, message", [
     ("--batch-size", "batch_size must be >= 1, got 0"),
-    ("--learning-rate", "learning_rate must be > 0, got 0.0"),
+    ("--learning-rate", "learning_rate must be finite and > 0, got 0.0"),
 ])
 def test_train_zero_flag_value_rejected(world_dir, tmp_path, capsys, flag, message):
     # A zero flag is an explicit value, not "unset": TrainConfig rejects it.
@@ -125,6 +125,23 @@ def test_train_zero_flag_value_rejected(world_dir, tmp_path, capsys, flag, messa
                  flag, "0"])
     assert code == 1
     assert message in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lambda-txt", "nan"), ("--lambda-info", "inf"), ("--learning-rate", "nan"),
+    ("--tau", "inf"),
+])
+def test_train_non_finite_flag_value_rejected(world_dir, tmp_path, capsys, flag, value):
+    # NaN passes every "< 0" test: TrainConfig rejects it before training.
+    ckpt = tmp_path / "s1.ckpt"
+    code = main(["train", "--stage", "1", "--embeddings", world_dir["embeddings"],
+                 "--nli-pairs", world_dir["nli_pairs"], "--checkpoint", str(ckpt),
+                 flag, value])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"{flag[2:].replace('-', '_')} must be finite" in err[0]
     assert not ckpt.exists()
 
 
@@ -373,6 +390,27 @@ def test_annotate_without_mock_or_endpoint(world_dir, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag, value, setting", [
+    ("--endpoint-timeout", "-1", "timeout"), ("--endpoint-timeout", "nan", "timeout"),
+    ("--endpoint-timeout", "0", "timeout"), ("--endpoint-timeout", "inf", "timeout"),
+    ("--endpoint-retries", "-1", "retries"),
+])
+def test_annotate_bad_endpoint_setting_rejected_before_any_request(
+        world_dir, tmp_path, capsys, monkeypatch, flag, value, setting):
+    def no_request(*args):
+        raise AssertionError("a request was sent")
+
+    monkeypatch.setattr("cirlite.annotate._post_json", no_request)
+    out = tmp_path / "x.jsonl"
+    code = main(["annotate", "--triplets", world_dir["train"], "--annotations", str(out),
+                 "--generator-endpoint", "http://127.0.0.1:9/generate",
+                 "--judge-endpoints", "http://127.0.0.1:9/judge", flag, value])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: endpoint {setting} must be")
+    assert not out.exists()
+
+
 def test_filter_all_ones_rejects_everything(tmp_path, capsys):
     annotations = [
         CoTAnnotation(f"p{i}", "cap", ["s"], "conc", [1, 1, 1]) for i in range(8)
@@ -443,7 +481,7 @@ def test_from_scratch_checkpoint_is_stage2_from_stage1_initialization(world_dir,
     from cirlite.data import SynthWorld, load_triplets
     from cirlite.model import init_params
     from cirlite.store import load_embeddings
-    from cirlite.trainer import default_config, save_checkpoint, train_stage2
+    from cirlite.trainer import TrainConfig, save_checkpoint, train_stage2
 
     main(["annotate", "--triplets", world_dir["train"],
           "--annotations", str(tmp_path / "ann.jsonl"), "--mock", "--seed", "5"])
@@ -456,8 +494,8 @@ def test_from_scratch_checkpoint_is_stage2_from_stage1_initialization(world_dir,
                  "--vocab-size", "512", "--checkpoint", str(tmp_path / "cli.ckpt")]) == 0
     embeddings = load_embeddings(world_dir["embeddings"])
     world = SynthWorld(embeddings=embeddings, triplets=load_triplets(world_dir["train"]),
-                       nli_pairs=[], vocab_size=512)
-    config = default_config(2, seed=5, epochs=1, tau=0.05)
+                       nli_pairs=[])
+    config = TrainConfig(stage=2, seed=5, epochs=1, tau=0.05)
     init = init_params(5, vocab_size=512, d_img=embeddings.dims, temperature=0.05)
     params = train_stage2(world, load_annotations(tmp_path / "acc.jsonl"), init, config)
     save_checkpoint(params, tmp_path / "api.ckpt", seed=5)
@@ -478,7 +516,6 @@ def test_fast_mode_trains_on_fewer_tokens(world_dir, tmp_path):
         embeddings=load_embeddings(world_dir["embeddings"]),
         triplets=load_triplets(world_dir["train"]),
         nli_pairs=[],
-        vocab_size=512,
     )
     accepted = load_annotations(tmp_path / "acc.jsonl")
     full = sum(len(i.target_toks) for i in build_training_items(world, accepted, "full", 512))
@@ -496,10 +533,10 @@ def test_train_config_takes_every_training_setting_by_name():
     from cirlite.cli import RunConfig, _train_config
 
     cfg = RunConfig(stage=1, learning_rate=0.2, batch_size=8, lambda_txt=0.5, lambda_info=2.0,
-                    tau=0.1, seed=7, annotation_mode="fast")
+                    tau=0.1, seed=7, annotation_mode="fast", vocab_size=100)
     assert dataclasses.asdict(_train_config(cfg)) == {
         "stage": 1, "learning_rate": 0.2, "batch_size": 8, "epochs": 2, "lambda_txt": 0.5,
-        "lambda_info": 2.0, "tau": 0.1, "seed": 7, "annotation_mode": "fast"}
+        "lambda_info": 2.0, "tau": 0.1, "seed": 7, "annotation_mode": "fast", "vocab_size": 100}
     assert _train_config(RunConfig(stage=2, epochs=3)).epochs == 3
 
 

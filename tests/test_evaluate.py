@@ -12,12 +12,12 @@ from cirlite.model import init_params
 
 @pytest.fixture(scope="module")
 def world():
-    return generate_synthetic_world(0, 30, 5, vocab_size=256, n_triplets=40, dims=16)
+    return generate_synthetic_world(0, 30, 5, n_triplets=40, dims=16)
 
 
 @pytest.fixture(scope="module")
 def params(world):
-    return init_params(0, vocab_size=world.vocab_size, d_img=world.embeddings.dims)
+    return init_params(0, vocab_size=256, d_img=world.embeddings.dims)
 
 
 def test_projected_gallery_shape(world, params):
@@ -26,7 +26,7 @@ def test_projected_gallery_shape(world, params):
 
 
 def test_dim_mismatch_rejected(world):
-    wrong = init_params(0, vocab_size=world.vocab_size, d_img=8)
+    wrong = init_params(0, vocab_size=256, d_img=8)
     with pytest.raises(EvalError, match="dimensionality"):
         project_gallery(wrong, world.embeddings)
 

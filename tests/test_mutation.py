@@ -34,7 +34,7 @@ SWAP_VALUES = [0, 7, -1, 2.5, "", "x", None, True, [], ["x"], [2], {}, {"k": 1}]
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("mutation")
-    world = generate_synthetic_world(7, 40, 6, vocab_size=64, n_triplets=30, dims=16)
+    world = generate_synthetic_world(7, 40, 6, n_triplets=30, dims=16)
     paths = save_world(world, root)
     save_checkpoint(init_params(0, vocab_size=64, d_img=16), root / "p.ckpt", seed=0)
     header, payload = (root / "p.ckpt").read_bytes().split(b"\n", 1)

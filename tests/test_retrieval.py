@@ -154,6 +154,19 @@ def test_topk_zero_query_rejected():
         search_queries(index, q_mat, ["g0000"] * 4, [None] * 4, 3)
 
 
+def test_query_width_mismatch_names_both_widths():
+    index = build_index_from_vectors(["a", "b", "c"], np.eye(3))
+    message = "query width {} != gallery width 3"
+    with pytest.raises(RetrievalError, match=message.format(2)):
+        search_topk(index, [1.0, 0.0], 1)
+    with pytest.raises(RetrievalError, match=message.format(4)):
+        rank_of(index, [1, 0, 0, 0], "a")
+    with pytest.raises(RetrievalError, match=message.format(4)):
+        subset_rank(index, [1, 0, 0, 0], ["a", "b"], "a")
+    with pytest.raises(RetrievalError, match=message.format(2)):
+        search_queries(index, np.ones((2, 2)), ["a", "b"], [None, None], 1)
+
+
 def test_scaling_query_preserves_order_exactly():
     rng = np.random.default_rng(7)
     for _ in range(30):

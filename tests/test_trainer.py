@@ -1,9 +1,11 @@
 """Losses against hand evaluation, gradients against finite differences,
 optimizer algebra, training determinism, checkpoint format."""
 
+import ast
 import dataclasses
 import hashlib
 import importlib.util
+import inspect
 import json
 import math
 from pathlib import Path
@@ -32,7 +34,6 @@ from cirlite.trainer import (
     checkpoint_seed,
     combined_loss,
     cross_entropy_seq,
-    default_config,
     finite_diff_grad,
     info_nce,
     load_checkpoint,
@@ -676,11 +677,14 @@ def test_config_validation():
         TrainConfig(stage=1, lambda_txt=-0.1)
     with pytest.raises(TrainerError, match="seed must be >= 0"):
         TrainConfig(stage=1, seed=-1)
+    with pytest.raises(TrainerError, match="vocab_size must be >= 2, got 1"):
+        TrainConfig(stage=1, vocab_size=1)
 
 
 @pytest.mark.parametrize("change", [
     {"epochs": 2.5}, {"batch_size": True}, {"learning_rate": "0.1"}, {"lambda_txt": None},
     {"stage": 2.0}, {"seed": "1"}, {"tau": [0.07]}, {"annotation_mode": 1},
+    {"vocab_size": 256.0},
 ])
 def test_config_field_of_wrong_type_rejected(change):
     with pytest.raises(TrainerError, match=f"{next(iter(change))} must be"):
@@ -693,23 +697,32 @@ def test_config_int_for_float_accepted():
 
 
 def test_stage_defaults():
-    assert default_config(1).epochs == 2
-    assert default_config(2).epochs == 20
-    # Learning rate and batch size are TrainConfig's own defaults.
+    # TrainConfig defaults the epochs per stage; an explicit count, 0 included, wins.
+    assert TrainConfig(stage=1).epochs == 2
+    assert TrainConfig(stage=2).epochs == 20
     assert trainer_mod.STAGE1_DEFAULTS == {"epochs": 2}
     assert trainer_mod.STAGE2_DEFAULTS == {"epochs": 20}
-    for stage in (1, 2):
-        assert default_config(stage).learning_rate == TrainConfig(stage=stage).learning_rate
-        assert default_config(stage).batch_size == TrainConfig(stage=stage).batch_size
+    assert TrainConfig(stage=2, epochs=0).epochs == 0
+    assert TrainConfig(stage=1).vocab_size == 4096
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["learning_rate", "lambda_txt", "lambda_info", "tau"])
+def test_config_non_finite_setting_rejected(name, value):
+    with pytest.raises(TrainerError, match=f"{name} must be finite"):
+        TrainConfig(stage=2, **{name: value})
 
 
 # ---------------------------------------------------------------------------
 # Training loops
 # ---------------------------------------------------------------------------
 
+TINY_VOCAB = 256
+
+
 @pytest.fixture(scope="module")
 def tiny_world():
-    return generate_synthetic_world(0, 24, 5, vocab_size=256, n_triplets=60, dims=16)
+    return generate_synthetic_world(0, 24, 5, n_triplets=60, dims=16)
 
 
 @pytest.fixture(scope="module")
@@ -722,16 +735,16 @@ def tiny_accepted(tiny_world):
 
 
 def test_stage1_zero_epochs_keeps_init(tiny_world):
-    config = default_config(1, seed=5, epochs=0)
+    config = TrainConfig(stage=1, seed=5, epochs=0, vocab_size=TINY_VOCAB)
     p = train_stage1(tiny_world, config)
-    fresh = init_params(5, vocab_size=tiny_world.vocab_size,
+    fresh = init_params(5, vocab_size=TINY_VOCAB,
                         d_img=tiny_world.embeddings.dims, temperature=config.tau)
     for name in PARAM_FIELDS:
         np.testing.assert_array_equal(getattr(p, name), getattr(fresh, name))
 
 
 def test_stage1_bitwise_deterministic(tiny_world, tmp_path):
-    config = default_config(1, seed=6)
+    config = TrainConfig(stage=1, seed=6, vocab_size=TINY_VOCAB)
     save_checkpoint(train_stage1(tiny_world, config), tmp_path / "a.ckpt")
     save_checkpoint(train_stage1(tiny_world, config), tmp_path / "b.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
@@ -741,7 +754,7 @@ def test_stage1_loss_decreases_on_default_world():
     # The default world, where the recorded-curve contract is stated.
     world = generate_synthetic_world(0, 200, 8, n_triplets=500)
     log = []
-    train_stage1(world, default_config(1, seed=0), loss_log=log)
+    train_stage1(world, TrainConfig(stage=1, seed=0), loss_log=log)
     epochs = sorted({e["epoch"] for e in log})
     first = [e["l_info"] for e in log if e["epoch"] == epochs[0]]
     last = [e["l_info"] for e in log if e["epoch"] == epochs[-1]]
@@ -749,9 +762,9 @@ def test_stage1_loss_decreases_on_default_world():
 
 
 def test_stage1_touches_text_side_only(tiny_world):
-    config = default_config(1, seed=7, epochs=1)
+    config = TrainConfig(stage=1, seed=7, epochs=1, vocab_size=TINY_VOCAB)
     p = train_stage1(tiny_world, config)
-    fresh = init_params(7, vocab_size=tiny_world.vocab_size,
+    fresh = init_params(7, vocab_size=TINY_VOCAB,
                         d_img=tiny_world.embeddings.dims, temperature=config.tau)
     assert not np.array_equal(p.tok_emb, fresh.tok_emb)
     assert not np.array_equal(p.w_txt, fresh.w_txt)
@@ -761,28 +774,28 @@ def test_stage1_touches_text_side_only(tiny_world):
 
 def test_stage1_requires_stage1_config(tiny_world):
     with pytest.raises(TrainerError, match="stage-2"):
-        train_stage1(tiny_world, default_config(2))
+        train_stage1(tiny_world, TrainConfig(stage=2))
 
 
 def test_stage1_requires_pairs(tiny_world):
     empty = dataclasses.replace(tiny_world, nli_pairs=[])
     with pytest.raises(TrainerError, match="no text pairs"):
-        train_stage1(empty, default_config(1))
+        train_stage1(empty, TrainConfig(stage=1))
 
 
 def test_stage2_zero_lambdas_leave_params_unchanged(tiny_world, tiny_accepted):
-    init = init_params(0, vocab_size=tiny_world.vocab_size,
+    init = init_params(0, vocab_size=TINY_VOCAB,
                        d_img=tiny_world.embeddings.dims)
-    config = default_config(2, seed=0, epochs=2, lambda_txt=0.0, lambda_info=0.0)
+    config = TrainConfig(stage=2, seed=0, epochs=2, lambda_txt=0.0, lambda_info=0.0)
     p = train_stage2(tiny_world, tiny_accepted, init, config)
     for name in PARAM_FIELDS:
         np.testing.assert_array_equal(getattr(p, name), getattr(init, name))
 
 
 def test_stage2_bitwise_deterministic(tiny_world, tiny_accepted, tmp_path):
-    init = init_params(1, vocab_size=tiny_world.vocab_size,
+    init = init_params(1, vocab_size=TINY_VOCAB,
                        d_img=tiny_world.embeddings.dims)
-    config = default_config(2, seed=1, epochs=2)
+    config = TrainConfig(stage=2, seed=1, epochs=2)
     save_checkpoint(train_stage2(tiny_world, tiny_accepted, init, config),
                     tmp_path / "a.ckpt")
     save_checkpoint(train_stage2(tiny_world, tiny_accepted, init, config),
@@ -791,34 +804,34 @@ def test_stage2_bitwise_deterministic(tiny_world, tiny_accepted, tmp_path):
 
 
 def test_stage2_rejects_no_accepted(tiny_world):
-    init = init_params(0, vocab_size=tiny_world.vocab_size,
+    init = init_params(0, vocab_size=TINY_VOCAB,
                        d_img=tiny_world.embeddings.dims)
     with pytest.raises(TrainerError, match="no accepted"):
-        train_stage2(tiny_world, [], init, default_config(2))
+        train_stage2(tiny_world, [], init, TrainConfig(stage=2))
 
 
 def test_stage2_fast_mode_uses_fewer_tokens(tiny_world, tiny_accepted):
     from cirlite.trainer import build_training_items
 
-    full_items = build_training_items(tiny_world, tiny_accepted, "full", tiny_world.vocab_size)
-    fast_items = build_training_items(tiny_world, tiny_accepted, "fast", tiny_world.vocab_size)
+    full_items = build_training_items(tiny_world, tiny_accepted, "full", TINY_VOCAB)
+    fast_items = build_training_items(tiny_world, tiny_accepted, "fast", TINY_VOCAB)
     full_tokens = sum(len(i.target_toks) for i in full_items)
     fast_tokens = sum(len(i.target_toks) for i in fast_items)
     assert fast_tokens < full_tokens
 
 
 def test_stage2_logs_both_loss_components(tiny_world, tiny_accepted):
-    init = init_params(2, vocab_size=tiny_world.vocab_size,
+    init = init_params(2, vocab_size=TINY_VOCAB,
                        d_img=tiny_world.embeddings.dims)
     log = []
     train_stage2(tiny_world, tiny_accepted, init,
-                 default_config(2, seed=2, epochs=1), loss_log=log)
+                 TrainConfig(stage=2, seed=2, epochs=1), loss_log=log)
     assert log and all({"l_txt", "l_info", "combined"} <= set(e) for e in log)
 
 
 def test_stage2_without_init_starts_where_stage1_would(tiny_world, tiny_accepted):
-    config = default_config(2, seed=4, epochs=1, tau=0.05)
-    init = init_params(config.seed, vocab_size=tiny_world.vocab_size,
+    config = TrainConfig(stage=2, seed=4, epochs=1, tau=0.05, vocab_size=TINY_VOCAB)
+    init = init_params(config.seed, vocab_size=TINY_VOCAB,
                        d_img=tiny_world.embeddings.dims, temperature=config.tau)
     log_none, log_init = [], []
     fresh = train_stage2(tiny_world, tiny_accepted, None, config, loss_log=log_none)
@@ -830,19 +843,16 @@ def test_stage2_without_init_starts_where_stage1_would(tiny_world, tiny_accepted
 
 
 def test_stage2_tokenizes_with_the_init_vocabulary(tiny_world, tiny_accepted):
-    # The parameters own the vocabulary: the world's vocab_size sizes a fresh
-    # start only, so an init with a larger vocabulary trains as if the world
-    # had been built with it.
-    config = default_config(2, seed=6, epochs=1)
-    init = init_params(6, vocab_size=2 * tiny_world.vocab_size,
-                       d_img=tiny_world.embeddings.dims)
-    same_vocab = dataclasses.replace(tiny_world, vocab_size=init.vocab_size)
-    log_small, log_same = [], []
-    small = train_stage2(tiny_world, tiny_accepted, init, config, loss_log=log_small)
-    same = train_stage2(same_vocab, tiny_accepted, init, config, loss_log=log_same)
+    # The parameters own the vocabulary: the config's vocab_size sizes a fresh
+    # start only, so two configs that differ in it train one init the same.
+    init = init_params(6, vocab_size=2 * TINY_VOCAB, d_img=tiny_world.embeddings.dims)
+    logs, trained = [[], []], []
+    for log, vocab_size in zip(logs, (TINY_VOCAB, init.vocab_size)):
+        config = TrainConfig(stage=2, seed=6, epochs=1, vocab_size=vocab_size)
+        trained.append(train_stage2(tiny_world, tiny_accepted, init, config, loss_log=log))
     for name in PARAM_FIELDS:
-        np.testing.assert_array_equal(getattr(small, name), getattr(same, name))
-    assert log_small == log_same
+        np.testing.assert_array_equal(getattr(trained[0], name), getattr(trained[1], name))
+    assert logs[0] == logs[1]
 
 
 # sha256 of a tiny-world stage-1 then stage-2 run, taken before both stages
@@ -857,8 +867,9 @@ _GOLDEN = {
 
 def test_two_stage_training_matches_golden_bytes(tiny_world, tiny_accepted, tmp_path):
     log1, log2 = [], []
-    p1 = train_stage1(tiny_world, default_config(1, seed=3), loss_log=log1)
-    p2 = train_stage2(tiny_world, tiny_accepted, p1, default_config(2, seed=3, epochs=2),
+    p1 = train_stage1(tiny_world, TrainConfig(stage=1, seed=3, vocab_size=TINY_VOCAB),
+                      loss_log=log1)
+    p2 = train_stage2(tiny_world, tiny_accepted, p1, TrainConfig(stage=2, seed=3, epochs=2),
                       loss_log=log2)
     save_checkpoint(p1, tmp_path / "s1.ckpt", seed=3)
     write_loss_log(log1, tmp_path / "s1.jsonl")
@@ -883,10 +894,11 @@ def test_benchmark_tracer_sees_every_training_step(tiny_world, tiny_accepted):
     log1, log2 = [], []
     tracer.install()
     try:
-        p = trainer_mod.train_stage1(tiny_world, default_config(1, seed=0, epochs=1),
-                                     loss_log=log1)
+        p = trainer_mod.train_stage1(
+            tiny_world, TrainConfig(stage=1, seed=0, epochs=1, vocab_size=TINY_VOCAB),
+            loss_log=log1)
         trainer_mod.train_stage2(tiny_world, tiny_accepted, p,
-                                 default_config(2, seed=0, epochs=1), loss_log=log2)
+                                 TrainConfig(stage=2, seed=0, epochs=1), loss_log=log2)
     finally:
         tracer.uninstall()
     assert log1 and log2
@@ -895,6 +907,58 @@ def test_benchmark_tracer_sees_every_training_step(tiny_world, tiny_accepted):
     assert spans.count("trainer.sgd_step") == len(log1) + len(log2)
     assert spans.count("model.forward_batch") == len(log2)
     assert spans.count("trainer.backward") == len(log2)
+
+
+def _attribute_chain(node):
+    """["a", "b", "c"] for the expression a.b.c, else None."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(names)] if isinstance(node, ast.Name) else None
+
+
+def _import_from(module, name):
+    """What `from module import name` binds, or None if it fails."""
+    owner = importlib.import_module(module)
+    if hasattr(owner, name):
+        return getattr(owner, name)
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return None
+
+
+def test_benchmark_reads_only_names_the_program_binds():
+    # The benchmark's files may not change with the program, so every name
+    # they import from cirlite, and every module.attr they read, must resolve.
+    missing = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "benchmarks").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cirlite"):
+                for alias in node.names:
+                    value = _import_from(node.module, alias.name)
+                    if value is None:
+                        missing.append(f"{path.name}:{node.lineno}: {node.module}.{alias.name}")
+                    elif inspect.ismodule(value):
+                        modules[alias.asname or alias.name] = value
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+                continue
+            chain = _attribute_chain(node)
+            if chain is None or chain[0] not in modules:
+                continue
+            value = modules[chain[0]]
+            for depth, attr in enumerate(chain[1:], start=2):
+                if not hasattr(value, attr):
+                    missing.append(f"{path.name}:{node.lineno}: {'.'.join(chain[:depth])}")
+                    break
+                value = getattr(value, attr)
+    assert sorted(set(missing)) == []
+    # pipeline-default counts its items by the stage-2 default epochs.
+    assert TrainConfig(stage=2).epochs == trainer_mod.STAGE2_DEFAULTS["epochs"]
 
 
 # ---------------------------------------------------------------------------
