@@ -37,6 +37,11 @@ _MARKERS = (CAPTION_MARKER, REASONING_MARKER, CONCLUSION_MARKER)
 DEFAULT_MEAN_THRESHOLD = 4.0
 DEFAULT_MAX_RANGE = 2
 
+# Per-request timeout and retry count of a remote endpoint, for library
+# clients and the CLI alike.
+DEFAULT_TIMEOUT_S = 30.0
+DEFAULT_RETRIES = 2
+
 _PROMPT_TEMPLATE = """You are annotating one composed-retrieval query.
 
 Reference: {reference}
@@ -263,7 +268,8 @@ class MockJudge:
 class _RemoteClient:
     """An endpoint URL with the timeout and retry count of its requests."""
 
-    def __init__(self, endpoint: str, timeout: float = 30.0, retries: int = 2):
+    def __init__(self, endpoint: str, timeout: float = DEFAULT_TIMEOUT_S,
+                 retries: int = DEFAULT_RETRIES):
         if not 0 < timeout < math.inf:
             raise EndpointError(f"endpoint timeout must be finite and > 0, got {timeout}")
         if retries < 0:
@@ -300,9 +306,22 @@ class RemoteJudge(_RemoteClient):
 # was slow or busy.
 _RETRIED_4XX = (408, 429)
 
-# Retry n (from 0) waits min(RETRY_CAP_S, RETRY_BASE_S * 2**n) seconds first.
+# Retry n (from 0) waits min(RETRY_CAP_S, RETRY_BASE_S * 2**n) seconds first,
+# unless a 429 or 503 reply named its own wait.
 RETRY_BASE_S = 0.05
 RETRY_CAP_S = 1.0
+_RETRY_AFTER_STATUS = (429, 503)
+_SECONDS_RE = re.compile(r"[0-9]+")
+
+
+def _retry_after(exc: urllib.error.HTTPError) -> float | None:
+    """The wait a 429 or 503 reply asks for in a Retry-After of whole
+    seconds, capped at RETRY_CAP_S; None for any other reply or header."""
+    if exc.code not in _RETRY_AFTER_STATUS:
+        return None
+    value = (exc.headers.get("Retry-After") or "").strip()
+    # float, not int: digits past Python's int-string limit are just a long wait.
+    return min(RETRY_CAP_S, float(value)) if _SECONDS_RE.fullmatch(value) else None
 
 
 def _post_json(endpoint: str, payload: dict, timeout: float, retries: int) -> dict:
@@ -310,18 +329,21 @@ def _post_json(endpoint: str, payload: dict, timeout: float, retries: int) -> di
 
     Connection errors, HTTP protocol errors (a bad status line, a body cut
     short), HTTP 5xx, 408, 429 and replies that are not a UTF-8 JSON object
-    are retried up to `retries` times, after a growing wait; any
-    other HTTP 4xx means the request itself is wrong, so it fails at once.
-    Every failure raises EndpointError.
+    are retried up to `retries` times, after a growing wait, or after the
+    Retry-After of a 429 or 503 reply; any other HTTP 4xx means the request
+    itself is wrong, so it fails at once. Every failure raises EndpointError.
     """
     body = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(
         endpoint, data=body, headers={"Content-Type": "application/json"}
     )
     last_error = None
+    wait = None
     for attempt in range(retries + 1):
         if attempt:
-            time.sleep(min(RETRY_CAP_S, RETRY_BASE_S * 2 ** (attempt - 1)))
+            time.sleep(min(RETRY_CAP_S, RETRY_BASE_S * 2 ** (attempt - 1))
+                       if wait is None else wait)
+            wait = None
         try:
             with urllib.request.urlopen(request, timeout=timeout) as response:
                 reply = parse_json(response.read(), EndpointError, "reply")
@@ -334,6 +356,7 @@ def _post_json(endpoint: str, payload: dict, timeout: float, retries: int) -> di
                     f"endpoint {endpoint} rejected the request: HTTP {exc.code} {exc.reason}"
                 ) from exc
             last_error = exc
+            wait = _retry_after(exc)
         except http.client.HTTPException as exc:
             # repr: a bad status line is kept raw, line break included.
             last_error = EndpointError(repr(exc))

@@ -62,8 +62,8 @@ class RunConfig:
     max_range: int = annotate_mod.DEFAULT_MAX_RANGE
     generator_endpoint: str | None = None
     judge_endpoints: list[str] = dataclasses.field(default_factory=list)
-    endpoint_timeout: float = 30.0
-    endpoint_retries: int = 2
+    endpoint_timeout: float = annotate_mod.DEFAULT_TIMEOUT_S
+    endpoint_retries: int = annotate_mod.DEFAULT_RETRIES
     # Evaluation
     k_list: list[int] = dataclasses.field(default_factory=lambda: [1, 5, 10, 50])
     subset_k_list: list[int] = dataclasses.field(default_factory=lambda: [1, 2, 3])

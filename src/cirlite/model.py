@@ -163,16 +163,19 @@ def composer_block(p: ParamSet, g_img: np.ndarray, txt: np.ndarray):
 
 
 def decoder_block(p: ParamSet, q: np.ndarray, prev):
-    """Decoder on (query, previous token); returns (input, hidden, logits).
-
-    The logits are [a_hid | 1] @ [w_out; b_out]: the output bias rides in
-    the GEMM instead of a separate pass over the rows x vocab logits.
-    """
+    """Decoder hidden layer on (query, previous token); returns (input, hidden)."""
     zd = np.concatenate([q, p.tok_emb[prev]], axis=-1)
-    a_hid = np.tanh(zd @ p.w_hid + p.b_hid)
+    return zd, np.tanh(zd @ p.w_hid + p.b_hid)
+
+
+def logits_block(p: ParamSet, a_hid: np.ndarray, out: np.ndarray | None = None):
+    """Decoder output logits [a_hid | 1] @ [w_out; b_out], written to out if given.
+
+    The output bias rides in the GEMM instead of a separate pass over the
+    rows x vocab logits.
+    """
     a_one = np.concatenate([a_hid, np.ones(a_hid.shape[:-1] + (1,))], axis=-1)
-    logits = a_one @ np.vstack([p.w_out, p.b_out])
-    return zd, a_hid, logits
+    return np.matmul(a_one, np.vstack([p.w_out, p.b_out]), out=out)
 
 
 def encode_queries(p: ParamSet, ref_imgs: np.ndarray, tok_lists):
@@ -229,7 +232,7 @@ def decode_step(p: ParamSet, q, prev_token: int) -> np.ndarray:
             f"prev_token {prev_token} outside [0, {p.vocab_size}] "
             "(vocab plus the BOS index)"
         )
-    return decoder_block(p, q, prev_token)[2]
+    return logits_block(p, decoder_block(p, q, prev_token)[1])
 
 
 def greedy_decode(p: ParamSet, q, max_len: int) -> list[int]:
@@ -270,7 +273,9 @@ class ForwardTrace:
     The decoder's input is (query of the position's item, previous token),
     so its activations depend on that pair only. They are computed once per
     distinct pair, a row, and each of the P teacher-forced positions points
-    at its row. Read-only: backward reads it and does not write to it.
+    at its row. The rows x vocab logits are not kept: backward computes them
+    from a_hid a block of rows at a time. Read-only: backward reads it and
+    does not write to it.
     """
 
     mod_toks: list[list[int]]
@@ -288,7 +293,6 @@ class ForwardTrace:
     row_of_pos: np.ndarray    # (P,) position -> decoder row
     zd: np.ndarray            # (R, d_joint + d_tok) decoder inputs
     a_hid: np.ndarray         # (R, d_hidden) post-tanh decoder hidden
-    logits: np.ndarray        # (R, vocab_size)
     targets_flat: np.ndarray  # (P,) supervision token ids (EOS appended)
 
     @property
@@ -297,12 +301,14 @@ class ForwardTrace:
 
 
 class _LogitSeqs(Sequence):
-    """Per-item teacher-forced logits, gathered from the decoder rows only
-    when an item is indexed (a gather of every position costs a P x vocab
-    copy that training does not need)."""
+    """Per-item teacher-forced logits, computed from the decoder rows' hidden
+    activations only when an item is indexed (training needs none of them,
+    and all of them at once cost a rows x vocab array)."""
 
-    def __init__(self, logits: np.ndarray, row_of_pos: np.ndarray, bounds: np.ndarray):
-        self._logits = logits
+    def __init__(self, p: ParamSet, a_hid: np.ndarray, row_of_pos: np.ndarray,
+                 bounds: np.ndarray):
+        self._p = p
+        self._a_hid = a_hid
         self._row_of_pos = row_of_pos
         self._bounds = bounds
 
@@ -311,7 +317,8 @@ class _LogitSeqs(Sequence):
 
     def __getitem__(self, j: int) -> np.ndarray:
         j = range(len(self))[j]
-        return self._logits[self._row_of_pos[self._bounds[j]:self._bounds[j + 1]]]
+        rows = self._row_of_pos[self._bounds[j]:self._bounds[j + 1]]
+        return logits_block(self._p, self._a_hid[rows])
 
 
 def forward_batch(p: ParamSet, items: Sequence[BatchItem]):
@@ -322,8 +329,9 @@ def forward_batch(p: ParamSet, items: Sequence[BatchItem]):
     spaces are commensurate), teacher-forced logits for every supervision
     position (targets plus a final EOS), and the trace for backprop.
     The decoder runs once per distinct (item, previous token) row; a
-    repeated bigram in an item's supervision reuses its row. logit_seqs[j]
-    gathers item j's rows per position when it is indexed, as a new array.
+    repeated bigram in an item's supervision reuses its row. No logits are
+    computed here: logit_seqs[j] computes item j's, one per position, when
+    it is indexed, as a new array.
     """
     items = list(items)
     if not items:
@@ -371,7 +379,7 @@ def forward_batch(p: ParamSet, items: Sequence[BatchItem]):
         return_inverse=True, return_counts=True,
     )
     row_item, row_prev = np.divmod(keys, p.vocab_size + 1)
-    zd, a_hid, logits = decoder_block(p, q_mat[row_item], row_prev)
+    zd, a_hid = decoder_block(p, q_mat[row_item], row_prev)
     bounds = np.concatenate([[0], np.cumsum(pos_counts)])
 
     trace = ForwardTrace(
@@ -390,7 +398,6 @@ def forward_batch(p: ParamSet, items: Sequence[BatchItem]):
         row_of_pos=row_of_pos,
         zd=zd,
         a_hid=a_hid,
-        logits=logits,
         targets_flat=targets_flat,
     )
-    return q_mat, t_mat, _LogitSeqs(logits, row_of_pos, bounds), trace
+    return q_mat, t_mat, _LogitSeqs(p, a_hid, row_of_pos, bounds), trace

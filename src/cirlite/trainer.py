@@ -33,6 +33,7 @@ from .model import (
     ParamSet,
     forward_batch,
     init_params,
+    logits_block,
     param_shapes,
     pool_tokens,
     text_block,
@@ -120,32 +121,32 @@ def _zero_grads(p: ParamSet) -> GradientSet:
 # ---------------------------------------------------------------------------
 
 def _ce_exps(logits, rows, targets):
-    """Mean softmax cross-entropy over positions, and the exponentials.
+    """Softmax cross-entropy per position, turning logits into exponentials.
 
     Position i reads logits row rows[i] and has target targets[i], so
-    several positions can share one row. Returns (loss, exps, sums): exps
-    is exp(logits - row max) in a new array (the exp runs in place on it)
-    and sums its row sums, so softmax = exps / sums[:, None]. Callers fold
-    that one normaliser into what they do next (Milakov & Gimelshein,
+    several positions can share one row. Works in place on the caller's
+    logits, which end as exp(logits - row max). Returns (terms, sums):
+    terms[i] is position i's loss, log sum - shifted target logit, and sums
+    the row sums, so softmax = exps / sums[:, None]. Callers fold that one
+    normaliser into what they do next (Milakov & Gimelshein,
     arXiv:1805.02867) instead of dividing the whole array.
     """
-    exps = logits - logits.max(axis=1, keepdims=True)
-    target_shifted = exps[rows, targets]
-    np.exp(exps, out=exps)
-    sums = exps.sum(axis=1)
-    loss = float(np.mean(np.log(sums[rows]) - target_shifted))
-    return loss, exps, sums
+    logits -= logits.max(axis=1, keepdims=True)
+    target_shifted = logits[rows, targets]
+    np.exp(logits, out=logits)
+    sums = logits.sum(axis=1)
+    return np.log(sums[rows]) - target_shifted, sums
 
 
 def _softmax_ce(logits, targets):
     """Mean softmax cross-entropy, row i against targets[i], and its
-    gradient (softmax - onehot) / rows."""
+    gradient (softmax - onehot) / rows, written over the caller's logits."""
     n = len(targets)
     rows = np.arange(n)
-    loss, probs, sums = _ce_exps(logits, rows, targets)
-    probs /= sums[:, None] * n
-    probs[rows, targets] -= 1.0 / n
-    return loss, probs
+    terms, sums = _ce_exps(logits, rows, targets)
+    logits /= sums[:, None] * n
+    logits[rows, targets] -= 1.0 / n
+    return float(np.mean(terms)), logits
 
 
 def _info_nce_full(q_mat, t_mat, temperature):
@@ -239,6 +240,16 @@ def combined_loss(l_txt, l_info, lambda_txt, lambda_info) -> float:
 # Backward pass
 # ---------------------------------------------------------------------------
 
+# The backward computes the decoder logits a block of rows at a time into
+# one buffer of this many bytes (at least one row): 1024 rows at vocabulary
+# 4096, so a default-world batch is one block. The buffer keeps this size
+# whatever the batch; only the rows a batch writes become resident. A buffer
+# sized to each batch stayed in glibc's heap after a smaller batch, and a
+# later, larger one was mapped beside it, so peak RSS grew by one buffer; at
+# 32 MiB, above glibc's largest mmap threshold, it is always its own mapping.
+DECODER_BLOCK_BYTES = 32 * 1024 * 1024
+
+
 def backward(p: ParamSet, trace: ForwardTrace, batch, config: TrainConfig) -> GradientSet:
     """Exact gradient of the combined loss for every parameter tensor.
 
@@ -265,27 +276,41 @@ def _backward_with_losses(p: ParamSet, trace: ForwardTrace, batch,
     n = trace.n_items
     d = p.d_joint
 
-    # Text path, on the decoder rows. At lambda_txt = 0 every decoder term
-    # is an exact zero, so skipping it changes no bit of the result.
+    # Text path, on the decoder rows, a block of rows at a time: the block's
+    # logits go into one buffer, become exponentials in place there, and
+    # both GEMMs read them. d_logits = scale[:, None] * exps - onehot_weight
+    # * (one 1 per position at (row, target)), with scale_r = lambda *
+    # count_r / (P * sum_r), is never formed: scale goes on the
+    # d_hidden-wide side of each GEMM, the one-hot term is a scatter over
+    # the P positions (np.subtract.at charges a repeated (row, target) pair
+    # once per occurrence), and the bias gradient is the GEMM's last row.
+    # At lambda_txt = 0 every decoder term is an exact zero, so skipping
+    # them changes no bit of the result.
     rows, targets = trace.row_of_pos, trace.targets_flat
-    l_txt, exps, sums = _ce_exps(trace.logits, rows, targets)
-    d_q = np.zeros((n, d))
-    if config.lambda_txt != 0.0:
-        # d_logits = scale[:, None] * exps - onehot_weight * (one 1 per
-        # position at (row, target)), with scale_r = lambda * count_r /
-        # (P * sum_r). It is never formed: scale goes on the d_hidden-wide
-        # side of each GEMM, the one-hot term is a scatter over the P
-        # positions (np.subtract.at charges a repeated (row, target) pair
-        # once per occurrence), and the bias gradient is the GEMM's last row.
-        positions = targets.size
-        scale = config.lambda_txt * trace.row_counts / (positions * sums)
-        onehot_weight = config.lambda_txt / positions
-        out_grad = np.concatenate([trace.a_hid * scale[:, None], scale[:, None]],
+    positions, n_rows = targets.size, trace.row_counts.size
+    text_grads = config.lambda_txt != 0.0
+    block = max(1, DECODER_BLOCK_BYTES // (8 * p.vocab_size))
+    buffer = np.empty((block, p.vocab_size))
+    terms = np.empty(positions)
+    d_a = np.empty((n_rows, p.d_hidden))
+    for lo in range(0, n_rows, block):
+        hi = min(lo + block, n_rows)
+        exps = logits_block(p, trace.a_hid[lo:hi], out=buffer[:hi - lo])
+        pos = np.flatnonzero((lo <= rows) & (rows < hi))
+        terms[pos], sums = _ce_exps(exps, rows[pos] - lo, targets[pos])
+        if text_grads:
+            scale = config.lambda_txt * trace.row_counts[lo:hi] / (positions * sums)
+            part = np.concatenate([trace.a_hid[lo:hi] * scale[:, None], scale[:, None]],
                                   axis=1).T @ exps
+            out_grad = part if lo == 0 else out_grad + part
+            d_a[lo:hi] = (exps @ p.w_out.T) * scale[:, None]
+    l_txt = float(np.mean(terms))
+    d_q = np.zeros((n, d))
+    if text_grads:
+        onehot_weight = config.lambda_txt / positions
         g.w_out, g.b_out = out_grad[:-1], out_grad[-1]
         np.subtract.at(g.w_out.T, targets, onehot_weight * trace.a_hid[rows])
         g.b_out -= onehot_weight * np.bincount(targets, minlength=p.vocab_size)
-        d_a = (exps @ p.w_out.T) * scale[:, None]
         np.subtract.at(d_a, rows, onehot_weight * p.w_out.T[targets])
         d_uh = d_a * (1.0 - trace.a_hid ** 2)
         g.w_hid += trace.zd.T @ d_uh
@@ -530,9 +555,8 @@ def _train(p: ParamSet, items, config: TrainConfig, step, loss_log) -> ParamSet:
         ):
             grads, losses, trace = step(p, batch, config)
             p = sgd_step(p, grads, config.learning_rate)
-            # Drop the trace (rows x vocab logits) and gradients after the
-            # update, before the next forward allocates its own; held across
-            # steps, they fragment the heap and raise peak RSS.
+            # Drop the trace and gradients after the update, before the next
+            # forward allocates its own.
             del grads, trace
             if loss_log is not None:
                 loss_log.append(dict(stage=config.stage, epoch=epoch, step=index, **losses))
@@ -540,16 +564,18 @@ def _train(p: ParamSet, items, config: TrainConfig, step, loss_log) -> ParamSet:
 
 
 def _stage1_gradients(p: ParamSet, batch, config: TrainConfig):
-    """Stage 1's step: InfoNCE over encoded (premise, positive) token pairs.
-    Only the text encoder's tensors get nonzero gradients; config is unused."""
+    """Stage 1's step: lambda_info times InfoNCE over encoded (premise,
+    positive) token pairs. Only the text encoder's tensors get nonzero
+    gradients; there is no decoder term, so lambda_txt does not apply."""
     tok_seqs = [prem for prem, _ in batch] + [pos for _, pos in batch]
     x_mean = np.stack([pool_tokens(p, toks) for toks in tok_seqs])
     enc = text_block(p, x_mean)
     n = len(batch)
     l_info, d_prem, d_pos = info_nce(enc[:n], enc[n:], p.temperature)
     g = _zero_grads(p)
-    _text_encoder_backward(p, g, x_mean, enc, np.concatenate([d_prem, d_pos]), tok_seqs)
-    return g, dict(l_txt=0.0, l_info=l_info, combined=l_info), None
+    d_enc = config.lambda_info * np.concatenate([d_prem, d_pos])
+    _text_encoder_backward(p, g, x_mean, enc, d_enc, tok_seqs)
+    return g, dict(l_txt=0.0, l_info=l_info, combined=config.lambda_info * l_info), None
 
 
 def _stage2_step(p: ParamSet, batch, config: TrainConfig):

@@ -544,3 +544,58 @@ def test_remote_client_4xx_does_not_wait(stub, stub_server, monkeypatch):
     with pytest.raises(EndpointError, match="HTTP 400"):
         judge.score("red item", "target")
     assert waits == []
+
+
+def test_cli_and_library_clients_share_endpoint_defaults():
+    from cirlite.cli import RunConfig
+
+    client = RemoteGenerator("http://127.0.0.1:9/")
+    cfg = RunConfig()
+    assert (cfg.endpoint_timeout, cfg.endpoint_retries) == (client.timeout, client.retries)
+    assert (client.timeout, client.retries) == (annotate_mod.DEFAULT_TIMEOUT_S,
+                                                annotate_mod.DEFAULT_RETRIES)
+
+
+def _status_reply(status, retry_after=None):
+    header = b"" if retry_after is None else b"Retry-After: " + retry_after + b"\r\n"
+    return (b"HTTP/1.1 %d Busy\r\n" % status + header
+            + b"Content-Length: 0\r\nConnection: close\r\n\r\n")
+
+
+@pytest.mark.parametrize("status", [429, 503])
+@pytest.mark.parametrize("retry_after, waits", [
+    (b"0", [0.0, 0.0]),
+    (b" 1 ", [1.0, 1.0]),
+    (b"7", ["cap", "cap"]),
+    (b"9" * 5000, ["cap", "cap"]),
+    (None, ["base", "2base"]),
+    (b"soon", ["base", "2base"]),
+    (b"1.5", ["base", "2base"]),
+    (b"-1", ["base", "2base"]),
+    (b"Wed, 21 Oct 2026 07:28:00 GMT", ["base", "2base"]),
+])
+def test_retry_after_seconds_sets_the_wait(raw_stub, monkeypatch, status, retry_after, waits):
+    # A Retry-After of whole seconds on 429 or 503 is the next wait, capped
+    # at RETRY_CAP_S; a missing or malformed one leaves the backoff.
+    slept = []
+    monkeypatch.setattr(annotate_mod.time, "sleep", slept.append)
+    monkeypatch.setattr(annotate_mod, "RETRY_CAP_S", 2.0)
+    raw_stub.reply = _status_reply(status, retry_after)
+    client = RemoteGenerator(raw_stub.url, timeout=5.0, retries=2)
+    with pytest.raises(EndpointError, match=f"HTTP Error {status}"):
+        client.generate("prompt")
+    base = annotate_mod.RETRY_BASE_S
+    named = {"cap": 2.0, "base": base, "2base": 2 * base}
+    assert slept == [named.get(w, w) for w in waits]
+    assert raw_stub.requests == 3
+
+
+@pytest.mark.parametrize("status", [500, 408])
+def test_retry_after_on_other_statuses_keeps_the_backoff(raw_stub, monkeypatch, status):
+    slept = []
+    monkeypatch.setattr(annotate_mod.time, "sleep", slept.append)
+    raw_stub.reply = _status_reply(status, b"0")
+    client = RemoteGenerator(raw_stub.url, timeout=5.0, retries=1)
+    with pytest.raises(EndpointError, match=f"HTTP Error {status}"):
+        client.generate("prompt")
+    assert slept == [annotate_mod.RETRY_BASE_S]

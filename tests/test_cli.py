@@ -475,6 +475,20 @@ def test_train_seed_recorded_in_checkpoint(world_dir, tmp_path):
     assert checkpoint_seed(ck) == 42
 
 
+def test_stage1_with_zero_lambda_info_writes_the_initialisation(world_dir, tmp_path):
+    # InfoNCE is stage 1's only loss term, so weighting it by zero leaves
+    # the seeded initialisation, which zero epochs also write.
+    def train(name, *flags):
+        assert main(["train", "--stage", "1", "--embeddings", world_dir["embeddings"],
+                     "--nli-pairs", world_dir["nli_pairs"], "--vocab-size", "256",
+                     "--seed", "3", "--checkpoint", str(tmp_path / name), *flags]) == 0
+        return (tmp_path / name).read_bytes()
+
+    init = train("init.ckpt", "--epochs", "0")
+    assert train("zero.ckpt", "--lambda-info", "0", "--epochs", "1") == init
+    assert train("one.ckpt", "--lambda-info", "1", "--epochs", "1") != init
+
+
 def test_from_scratch_checkpoint_is_stage2_from_stage1_initialization(world_dir, tmp_path):
     # --from-scratch starts stage 2 where train_stage1 would: init_params of
     # the seed, the vocabulary, the embedding dims and --tau.

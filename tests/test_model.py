@@ -17,6 +17,7 @@ from cirlite.model import (
     forward_batch,
     greedy_decode,
     init_params,
+    logits_block,
     project_image,
 )
 
@@ -250,21 +251,28 @@ def test_forward_teacher_forcing_matches_decode_step():
             prev = target
 
 
-def test_decoder_block_folds_output_bias_into_gemm():
+def test_logits_block_folds_output_bias_into_gemm():
     # [a_hid | 1] @ [w_out; b_out] is a_hid @ w_out + b_out up to rounding,
-    # for a block of rows and for the single-row decode_step path.
+    # for a block of rows, for the single-row decode_step path, and written
+    # into a caller's buffer.
     for seed in range(3):
         p = init_params(seed, vocab_size=300, d_tok=6, d_img=6, d_joint=5, d_hidden=7)
         rng = np.random.default_rng(seed)
         q = rng.standard_normal((9, 5))
         prev = rng.integers(0, p.vocab_size + 1, size=9)
-        _, a_hid, logits = decoder_block(p, q, prev)
+        _, a_hid = decoder_block(p, q, prev)
+        logits = logits_block(p, a_hid)
         reference = a_hid @ p.w_out + p.b_out
         scale = np.abs(reference).max()
         assert np.abs(logits - reference).max() <= 1e-12 * scale
-        _, a_row, row_logits = decoder_block(p, q[0], int(prev[0]))
+        buffer = np.empty((12, p.vocab_size))
+        assert logits_block(p, a_hid, out=buffer[:9]).base is buffer
+        np.testing.assert_array_equal(buffer[:9], logits)
+        _, a_row = decoder_block(p, q[0], int(prev[0]))
+        row_logits = logits_block(p, a_row)
         assert row_logits.shape == (p.vocab_size,)
         assert np.abs(row_logits - (a_row @ p.w_out + p.b_out)).max() <= 1e-12 * scale
+        np.testing.assert_array_equal(decode_step(p, q[0], int(prev[0])), row_logits)
 
 
 def test_forward_purity():

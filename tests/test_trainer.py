@@ -8,13 +8,14 @@ import importlib.util
 import inspect
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cirlite.trainer as trainer_mod
-from cirlite.data import EOS_TOKEN, generate_synthetic_world
+from cirlite.data import DEFAULT_VOCAB, EOS_TOKEN, generate_synthetic_world
 from cirlite.annotate import MockGenerator, MockJudge, annotate_triplets, filter_annotations
 from cirlite.model import PARAM_FIELDS, BatchItem, forward_batch, init_params
 from cirlite.trainer import (
@@ -30,6 +31,7 @@ from cirlite.trainer import (
     _stage2_step,
     _text_encoder_backward,
     backward,
+    build_training_items,
     central_difference,
     checkpoint_seed,
     combined_loss,
@@ -423,6 +425,87 @@ def test_backward_leaves_trace_unchanged():
         np.testing.assert_array_equal(getattr(first, name), getattr(second, name))
 
 
+def criterion2_draw(seed):
+    """Criterion 2's draw: init_params(seed, vocab_size=64) and four items."""
+    rng = np.random.default_rng(seed)
+    p = init_params(seed, vocab_size=64)
+    batch = [
+        BatchItem(
+            img_vec=rng.standard_normal(64),
+            mod_toks=[int(t) for t in rng.integers(1, 64, size=int(rng.integers(1, 5)))],
+            target_img_vec=rng.standard_normal(64),
+            target_toks=[int(t) for t in rng.integers(1, 64, size=int(rng.integers(0, 5)))],
+        )
+        for _ in range(4)
+    ]
+    return p, batch
+
+
+def set_decoder_block_rows(monkeypatch, p, rows):
+    monkeypatch.setattr(trainer_mod, "DECODER_BLOCK_BYTES", rows * 8 * p.vocab_size)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_multi_block_backward_matches_one_block(monkeypatch, seed):
+    # Blocks of two decoder rows, the last one short. The per-position loss
+    # terms are computed row by row, so the losses are bitwise those of one
+    # block; the w_out and b_out gradients add the blocks' GEMMs, a
+    # different summation order, so every gradient agrees to 1e-12.
+    p, batch = small_params(seed), repeated_bigram_batch(seed)
+    config = TrainConfig(stage=2, lambda_txt=0.5)
+    _, _, _, trace = forward_batch(p, batch)
+    one = trainer_mod._backward_with_losses(p, trace, batch, config)
+    set_decoder_block_rows(monkeypatch, p, 2)
+    assert trace.row_counts.size >= 5
+    many = trainer_mod._backward_with_losses(p, trace, batch, config)
+    again = trainer_mod._backward_with_losses(p, trace, batch, config)
+    assert many[1:] == again[1:] == one[1:]
+    for name in PARAM_FIELDS:
+        expected = getattr(one[0], name)
+        error = np.abs(getattr(many[0], name) - expected).max()
+        assert error <= 1e-12 * np.abs(expected).max(), (name, error)
+        np.testing.assert_array_equal(getattr(again[0], name), getattr(many[0], name))
+    assert many[0].d_temperature == one[0].d_temperature
+
+
+def test_gradient_check_one_decoder_row_per_block(monkeypatch):
+    # Criterion 2's draws and bound with every decoder row its own block.
+    config = TrainConfig(stage=2, seed=0)
+    for seed in range(10):
+        p, batch = criterion2_draw(seed)
+        set_decoder_block_rows(monkeypatch, p, 1)
+        _, _, _, trace = forward_batch(p, batch)
+        assert trace.row_counts.size >= 3
+        errors = max_relative_error(backward(p, trace, batch, config),
+                                    finite_diff_grad(p, batch, config, epsilon=1e-4))
+        assert max(errors.values()) < 1e-4, (seed, errors)
+
+
+def test_stage2_step_peak_memory_is_one_logits_buffer():
+    # A default-world step holds the decoder logits once, in the backward's
+    # DECODER_BLOCK_BYTES buffer: everything else it allocates stays under
+    # 0.4 of a rows x vocab float64 array (the logits kept in the trace plus
+    # a shifted copy took 2.2 arrays in all), and the trace it returns has
+    # no vocab-wide field.
+    world = generate_synthetic_world(0, 200, 8, n_triplets=500)
+    anns, _ = annotate_triplets(world.triplets[:400], MockGenerator(0),
+                                [MockJudge(i) for i in range(3)])
+    accepted, _ = filter_annotations([(a, a.judge_scores) for a in anns])
+    items = build_training_items(world, accepted, "full", DEFAULT_VOCAB)[:32]
+    p = init_params(0, d_img=world.embeddings.dims)
+    tracemalloc.start()
+    try:
+        _, _, trace = _stage2_step(p, items, TrainConfig(stage=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    logits_bytes = trace.row_counts.size * p.vocab_size * 8
+    assert peak <= trainer_mod.DECODER_BLOCK_BYTES + 0.4 * logits_bytes, (peak, logits_bytes)
+    for name, value in vars(trace).items():
+        assert not (isinstance(value, np.ndarray) and value.ndim == 2
+                    and value.shape[1] == p.vocab_size), name
+
+
 def test_doubling_lambda_txt_doubles_text_gradient_exactly():
     p = small_params(5)
     batch = small_batch(5)
@@ -741,6 +824,24 @@ def test_stage1_zero_epochs_keeps_init(tiny_world):
                         d_img=tiny_world.embeddings.dims, temperature=config.tau)
     for name in PARAM_FIELDS:
         np.testing.assert_array_equal(getattr(p, name), getattr(fresh, name))
+
+
+def test_stage1_gradient_and_combined_loss_scale_with_lambda_info():
+    # Stage 1 has InfoNCE only: lambda_info scales its gradient and the
+    # logged combined loss (a power of two exactly), and lambda_txt does
+    # not apply.
+    p = small_params(13)
+    batch = [([1, 2], [2, 3]), ([4], [5, 6]), ([7, 8, 9], [9])]
+    g1, losses1, _ = _stage1_gradients(p, batch, TrainConfig(stage=1))
+    g2, losses2, _ = _stage1_gradients(p, batch, TrainConfig(stage=1, lambda_info=2.0,
+                                                             lambda_txt=0.0))
+    g0, losses0, _ = _stage1_gradients(p, batch, TrainConfig(stage=1, lambda_info=0.0))
+    for name in PARAM_FIELDS:
+        np.testing.assert_array_equal(getattr(g2, name), 2.0 * getattr(g1, name))
+        assert np.all(getattr(g0, name) == 0.0)
+    assert losses1["combined"] == losses1["l_info"] == losses2["l_info"]
+    assert losses2["combined"] == 2.0 * losses1["l_info"]
+    assert losses0 == dict(l_txt=0.0, l_info=losses1["l_info"], combined=0.0)
 
 
 def test_stage1_bitwise_deterministic(tiny_world, tmp_path):
