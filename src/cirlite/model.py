@@ -168,14 +168,21 @@ def decoder_block(p: ParamSet, q: np.ndarray, prev):
     return zd, np.tanh(zd @ p.w_hid + p.b_hid)
 
 
-def logits_block(p: ParamSet, a_hid: np.ndarray, out: np.ndarray | None = None):
-    """Decoder output logits [a_hid | 1] @ [w_out; b_out], written to out if given.
+def output_weights(p: ParamSet) -> np.ndarray:
+    """[w_out; b_out], the (d_hidden + 1) x vocab right operand of logits_block.
+    A caller that computes several blocks of logits builds it once."""
+    return np.vstack([p.w_out, p.b_out])
+
+
+def logits_block(w_ob: np.ndarray, a_hid: np.ndarray, out: np.ndarray | None = None):
+    """Decoder output logits [a_hid | 1] @ w_ob, w_ob = output_weights(p),
+    written to out if given.
 
     The output bias rides in the GEMM instead of a separate pass over the
     rows x vocab logits.
     """
     a_one = np.concatenate([a_hid, np.ones(a_hid.shape[:-1] + (1,))], axis=-1)
-    return np.matmul(a_one, np.vstack([p.w_out, p.b_out]), out=out)
+    return np.matmul(a_one, w_ob, out=out)
 
 
 def encode_queries(p: ParamSet, ref_imgs: np.ndarray, tok_lists):
@@ -218,35 +225,42 @@ def compose_query(p: ParamSet, img_vec, txt_vec) -> np.ndarray:
     return composer_block(p, projected, txt_vec)[1]
 
 
+def _query_vector(p: ParamSet, q) -> np.ndarray:
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != (p.d_joint,):
+        raise ModelError(f"q has shape {q.shape}, expected ({p.d_joint},)")
+    return q
+
+
 def decode_step(p: ParamSet, q, prev_token: int) -> np.ndarray:
     """One decoder step: logits over the vocabulary given (query, prev token).
 
     History is compressed to the previous token only, which keeps exact
     manual backpropagation tractable.
     """
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (p.d_joint,):
-        raise ModelError(f"q has shape {q.shape}, expected ({p.d_joint},)")
+    q = _query_vector(p, q)
     if not 0 <= prev_token <= p.vocab_size:
         raise ModelError(
             f"prev_token {prev_token} outside [0, {p.vocab_size}] "
             "(vocab plus the BOS index)"
         )
-    return logits_block(p, decoder_block(p, q, prev_token)[1])
+    return logits_block(output_weights(p), decoder_block(p, q, prev_token)[1])
 
 
 def greedy_decode(p: ParamSet, q, max_len: int) -> list[int]:
     """Greedy generation: argmax per step, ties to the lowest token index.
 
     The emitted EOS is included in the output and stops generation; otherwise
-    generation stops at max_len.
+    generation stops at max_len. Each step's logits are decode_step's.
     """
     if max_len < 1:
         raise ModelError(f"max_len must be >= 1, got {max_len}")
+    q = _query_vector(p, q)
+    w_ob = output_weights(p)
     out: list[int] = []
     prev = p.bos_token
     for _ in range(max_len):
-        logits = decode_step(p, q, prev)
+        logits = logits_block(w_ob, decoder_block(p, q, prev)[1])
         token = int(np.argmax(logits))  # argmax returns the first (lowest) max
         out.append(token)
         if token == EOS_TOKEN:
@@ -318,7 +332,7 @@ class _LogitSeqs(Sequence):
     def __getitem__(self, j: int) -> np.ndarray:
         j = range(len(self))[j]
         rows = self._row_of_pos[self._bounds[j]:self._bounds[j + 1]]
-        return logits_block(self._p, self._a_hid[rows])
+        return logits_block(output_weights(self._p), self._a_hid[rows])
 
 
 def forward_batch(p: ParamSet, items: Sequence[BatchItem]):

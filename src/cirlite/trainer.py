@@ -17,6 +17,7 @@ annotated triplets with the combined objective.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, field, make_dataclass, replace
 from pathlib import Path
@@ -34,6 +35,7 @@ from .model import (
     forward_batch,
     init_params,
     logits_block,
+    output_weights,
     param_shapes,
     pool_tokens,
     text_block,
@@ -112,8 +114,10 @@ GradientSet = make_dataclass(
 GradientSet.__module__ = __name__
 
 
-def _zero_grads(p: ParamSet) -> GradientSet:
-    return GradientSet(**{name: np.zeros_like(getattr(p, name)) for name in PARAM_FIELDS})
+def _zero_grads(p: ParamSet, **given: np.ndarray) -> GradientSet:
+    """The given gradient tensors, and zeros for every other one."""
+    return GradientSet(**{name: given[name] if name in given else np.zeros_like(getattr(p, name))
+                          for name in PARAM_FIELDS})
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +245,19 @@ def combined_loss(l_txt, l_info, lambda_txt, lambda_info) -> float:
 # ---------------------------------------------------------------------------
 
 # The backward computes the decoder logits a block of rows at a time into
-# one buffer of this many bytes (at least one row): 1024 rows at vocabulary
-# 4096, so a default-world batch is one block. The buffer keeps this size
-# whatever the batch; only the rows a batch writes become resident. A buffer
-# sized to each batch stayed in glibc's heap after a smaller batch, and a
-# later, larger one was mapped beside it, so peak RSS grew by one buffer; at
-# 32 MiB, above glibc's largest mmap threshold, it is always its own mapping.
-DECODER_BLOCK_BYTES = 32 * 1024 * 1024
+# one buffer of this many bytes (at least one row): 128 rows at vocabulary
+# 4096, so a default-world batch of about 676 rows is 6 blocks. On one such
+# batch (2 Xeon cores, 1 BLAS thread) the backward took 23.5 ms in blocks of 32 rows,
+# 20.6 ms at 64, 20.2 ms at 128 and 19.2 ms at 1024. train_stage2 allocates
+# the buffer once per run (_decoder_buffer) and hands it to every step, so
+# the logits' memory neither comes and goes with each step nor depends on
+# where the allocator puts it.
+DECODER_BLOCK_BYTES = 4 * 1024 * 1024
+
+
+def _decoder_buffer(vocab_size: int) -> np.ndarray:
+    """The backward's logits block: DECODER_BLOCK_BYTES of rows, at least one."""
+    return np.empty((max(1, DECODER_BLOCK_BYTES // (8 * vocab_size)), vocab_size))
 
 
 def backward(p: ParamSet, trace: ForwardTrace, batch, config: TrainConfig) -> GradientSet:
@@ -262,8 +272,12 @@ def backward(p: ParamSet, trace: ForwardTrace, batch, config: TrainConfig) -> Gr
 
 
 def _backward_with_losses(p: ParamSet, trace: ForwardTrace, batch,
-                          config: TrainConfig):
-    """backward() plus the loss values, sharing one softmax evaluation."""
+                          config: TrainConfig, buffer: np.ndarray | None = None):
+    """backward() plus the loss values, sharing one softmax evaluation.
+
+    buffer, a _decoder_buffer(p.vocab_size), holds each block of logits;
+    without one, the call allocates its own.
+    """
     batch = list(batch)
     if trace.n_items != len(batch):
         raise TrainerError(
@@ -272,7 +286,6 @@ def _backward_with_losses(p: ParamSet, trace: ForwardTrace, batch,
     for j, item in enumerate(batch):
         if list(item.mod_toks) != trace.mod_toks[j]:
             raise TrainerError(f"batch item {j} does not match the trace")
-    g = _zero_grads(p)
     n = trace.n_items
     d = p.d_joint
 
@@ -289,26 +302,34 @@ def _backward_with_losses(p: ParamSet, trace: ForwardTrace, batch,
     rows, targets = trace.row_of_pos, trace.targets_flat
     positions, n_rows = targets.size, trace.row_counts.size
     text_grads = config.lambda_txt != 0.0
-    block = max(1, DECODER_BLOCK_BYTES // (8 * p.vocab_size))
-    buffer = np.empty((block, p.vocab_size))
+    if buffer is None:
+        buffer = _decoder_buffer(p.vocab_size)
+    block = buffer.shape[0]
+    w_ob = output_weights(p)
     terms = np.empty(positions)
     d_a = np.empty((n_rows, p.d_hidden))
     for lo in range(0, n_rows, block):
         hi = min(lo + block, n_rows)
-        exps = logits_block(p, trace.a_hid[lo:hi], out=buffer[:hi - lo])
+        exps = logits_block(w_ob, trace.a_hid[lo:hi], out=buffer[:hi - lo])
         pos = np.flatnonzero((lo <= rows) & (rows < hi))
         terms[pos], sums = _ce_exps(exps, rows[pos] - lo, targets[pos])
         if text_grads:
             scale = config.lambda_txt * trace.row_counts[lo:hi] / (positions * sums)
             part = np.concatenate([trace.a_hid[lo:hi] * scale[:, None], scale[:, None]],
                                   axis=1).T @ exps
-            out_grad = part if lo == 0 else out_grad + part
+            if lo == 0:
+                out_grad = part
+            else:
+                out_grad += part
             d_a[lo:hi] = (exps @ p.w_out.T) * scale[:, None]
     l_txt = float(np.mean(terms))
     d_q = np.zeros((n, d))
-    if text_grads:
+    if not text_grads:
+        g = _zero_grads(p)
+    else:
+        # The w_out and b_out gradients are the GEMM sum's rows, not zeros.
+        g = _zero_grads(p, w_out=out_grad[:-1], b_out=out_grad[-1])
         onehot_weight = config.lambda_txt / positions
-        g.w_out, g.b_out = out_grad[:-1], out_grad[-1]
         np.subtract.at(g.w_out.T, targets, onehot_weight * trace.a_hid[rows])
         g.b_out -= onehot_weight * np.bincount(targets, minlength=p.vocab_size)
         np.subtract.at(d_a, rows, onehot_weight * p.w_out.T[targets])
@@ -578,10 +599,11 @@ def _stage1_gradients(p: ParamSet, batch, config: TrainConfig):
     return g, dict(l_txt=0.0, l_info=l_info, combined=config.lambda_info * l_info), None
 
 
-def _stage2_step(p: ParamSet, batch, config: TrainConfig):
-    """Stage 2's step: the combined objective's gradients, losses and trace."""
+def _stage2_step(p: ParamSet, batch, config: TrainConfig, buffer: np.ndarray | None = None):
+    """Stage 2's step: the combined objective's gradients, losses and trace.
+    buffer is the backward's logits block (see _backward_with_losses)."""
     _, _, _, trace = forward_batch(p, batch)
-    grads, l_txt, l_info = _backward_with_losses(p, trace, batch, config)
+    grads, l_txt, l_info = _backward_with_losses(p, trace, batch, config, buffer)
     combined = combined_loss(l_txt, l_info, config.lambda_txt, config.lambda_info)
     return grads, dict(l_txt=l_txt, l_info=l_info, combined=combined), trace
 
@@ -641,12 +663,14 @@ def build_training_items(world: SynthWorld, annotations, mode: str,
 def train_stage2(world: SynthWorld, annotations, init: ParamSet | None,
                  config: TrainConfig, *, loss_log: list | None = None) -> ParamSet:
     """Full-parameter training with the combined objective. Deterministic.
-    Starts from init, or else where train_stage1 would; tokenizes under its vocabulary."""
+    Starts from init, or else where train_stage1 would; tokenizes under its
+    vocabulary. Every step's backward reuses one logits buffer."""
     if config.stage != 2:
         raise TrainerError(f"train_stage2 got a stage-{config.stage} config")
     p = init if init is not None else _fresh_params(world, config)
     items = build_training_items(world, annotations, config.annotation_mode, p.vocab_size)
-    return _train(p, items, config, _stage2_step, loss_log)
+    step = functools.partial(_stage2_step, buffer=_decoder_buffer(p.vocab_size))
+    return _train(p, items, config, step, loss_log)
 
 
 # ---------------------------------------------------------------------------

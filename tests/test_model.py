@@ -18,6 +18,7 @@ from cirlite.model import (
     greedy_decode,
     init_params,
     logits_block,
+    output_weights,
     project_image,
 )
 
@@ -163,6 +164,23 @@ def test_greedy_respects_max_len():
         assert 1 <= len(out) <= 4
 
 
+def test_greedy_decode_follows_decode_step_argmax():
+    # greedy_decode stacks [w_out; b_out] once for all its steps; each step's
+    # logits are still decode_step's, bit for bit, so it emits the argmax of
+    # decode_step at every step.
+    rng = np.random.default_rng(6)
+    for seed in range(5):
+        p = small_params(seed)
+        q = rng.standard_normal(5)
+        out = greedy_decode(p, q, 12)
+        prev = p.bos_token
+        for token in out:
+            assert token == int(np.argmax(decode_step(p, q, prev)))
+            prev = token
+    with pytest.raises(ModelError):
+        greedy_decode(small_params(), np.zeros(4), 3)
+
+
 def test_greedy_max_len_validation():
     with pytest.raises(ModelError):
         greedy_decode(small_params(), np.zeros(5), 0)
@@ -261,15 +279,16 @@ def test_logits_block_folds_output_bias_into_gemm():
         q = rng.standard_normal((9, 5))
         prev = rng.integers(0, p.vocab_size + 1, size=9)
         _, a_hid = decoder_block(p, q, prev)
-        logits = logits_block(p, a_hid)
+        w_ob = output_weights(p)
+        logits = logits_block(w_ob, a_hid)
         reference = a_hid @ p.w_out + p.b_out
         scale = np.abs(reference).max()
         assert np.abs(logits - reference).max() <= 1e-12 * scale
         buffer = np.empty((12, p.vocab_size))
-        assert logits_block(p, a_hid, out=buffer[:9]).base is buffer
+        assert logits_block(w_ob, a_hid, out=buffer[:9]).base is buffer
         np.testing.assert_array_equal(buffer[:9], logits)
         _, a_row = decoder_block(p, q[0], int(prev[0]))
-        row_logits = logits_block(p, a_row)
+        row_logits = logits_block(w_ob, a_row)
         assert row_logits.shape == (p.vocab_size,)
         assert np.abs(row_logits - (a_row @ p.w_out + p.b_out)).max() <= 1e-12 * scale
         np.testing.assert_array_equal(decode_step(p, q[0], int(prev[0])), row_logits)
