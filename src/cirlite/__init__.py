@@ -16,7 +16,6 @@ from .annotate import (
     annotate_triplets,
     build_annotation_prompt,
     filter_annotations,
-    format_annotation,
     judge_annotation,
     mock_generate,
     parse_structured_output,
@@ -49,20 +48,16 @@ from .metrics import (
 from .model import (
     BatchItem,
     ParamSet,
-    compose_query,
-    decode_step,
-    encode_text,
+    encode_queries,
     forward_batch,
     greedy_decode,
     init_params,
-    project_image,
 )
 from .retrieval import (
     build_index,
     build_index_from_vectors,
     rank_of,
     search_topk,
-    search_topk_batch,
     subset_rank,
     write_ranked_results,
 )

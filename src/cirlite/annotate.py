@@ -25,7 +25,7 @@ import urllib.request
 from dataclasses import dataclass, replace
 from typing import Protocol
 
-from .data import CoTAnnotation, Triplet
+from .data import CoTAnnotation, Triplet, words
 from .errors import CirliteError
 from .store import parse_json
 
@@ -67,7 +67,6 @@ Give a clear and comprehensive description of the resulting target item.
 """
 
 _BULLET_RE = re.compile(r"^\s*(?:\d+[.)]\s*|[-*]\s*)")
-_WORD_RE = re.compile(r"[a-z0-9]+")
 
 
 class AnnotateError(CirliteError):
@@ -165,22 +164,6 @@ def parse_structured_output(raw: str, pair_id: str = "") -> CoTAnnotation:
     )
 
 
-def format_annotation(a: CoTAnnotation) -> str:
-    """Render an annotation back into canonical three-section text.
-
-    Inverse of parse_structured_output for annotations whose fields contain
-    no markers, newlines, or leading bullets.
-    """
-    lines = [CAPTION_MARKER, a.caption, REASONING_MARKER]
-    lines.extend(f"{i}. {step}" for i, step in enumerate(a.reasoning_steps, start=1))
-    lines.extend([CONCLUSION_MARKER, a.conclusion])
-    return "\n".join(lines) + "\n"
-
-
-def _words(text: str) -> list[str]:
-    return _WORD_RE.findall(text.lower())
-
-
 def _extract_field(prompt: str, label: str) -> str:
     for line in prompt.splitlines():
         if line.startswith(label):
@@ -200,9 +183,9 @@ def mock_generate(prompt: str, seed: int) -> str:
     modification = _extract_field(prompt, "Modification:") or "unchanged"
     tag = hashlib.sha256(f"{seed}\x1f{prompt}".encode("utf-8")).hexdigest()[:10]
 
-    attrs = [w for w in _words(reference) if w not in ("item", "with")]
+    attrs = [w for w in words(reference) if w not in ("item", "with")]
     adds, drops = [], []
-    for word in _words(modification):
+    for word in words(modification):
         if word.startswith("add") and len(word) > 3:
             attr = word[3:]
             adds.append(attr)
@@ -249,11 +232,11 @@ class MockJudge:
     seed: int
 
     def score(self, conclusion: str, target_descriptor: str) -> int:
-        target_words = set(_words(target_descriptor))
+        target_words = set(words(target_descriptor))
         if not target_words:
             coverage = 1.0
         else:
-            coverage = len(target_words & set(_words(conclusion))) / len(target_words)
+            coverage = len(target_words & set(words(conclusion))) / len(target_words)
         base = 1 + int(coverage * 4 + 1e-9)
         digest = hashlib.sha256(
             f"{self.seed}\x1f{conclusion}\x1f{target_descriptor}".encode("utf-8")
@@ -420,7 +403,7 @@ def filter_annotations(
     return accepted, rejected
 
 
-def annotate_triplets(triplets, generator, judges):
+def annotate_triplets(triplets, generator: GeneratorClient, judges: list[JudgeClient]):
     """Run prompt -> generate -> parse -> judge for a list of triplets.
 
     Returns (annotations, n_unparseable). Unparseable generator outputs are

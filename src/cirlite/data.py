@@ -135,12 +135,17 @@ def write_annotations(annotations, path) -> None:
     write_jsonl(map(asdict, annotations), path)
 
 
+def words(text: str) -> list[str]:
+    """The one word-split rule: lowercase, then maximal [a-z0-9]+ runs, so
+    punctuation and whitespace both separate."""
+    return _WORD_RE.findall(text.lower())
+
+
 def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB) -> list[int]:
     """Hash words into token ids in [1, vocab_size).
 
-    The rule, fixed for reproducibility across platforms: lowercase, split
-    into maximal [a-z0-9]+ runs (so punctuation and whitespace both
-    separate), then map each word w to
+    The rule, fixed for reproducibility across platforms: split text into
+    words(text), then map each word w to
 
         1 + (first 8 bytes of sha256(w), big-endian) mod (vocab_size - 1)
 
@@ -148,11 +153,10 @@ def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB) -> list[int]:
     """
     if vocab_size < 2:
         raise DatasetError(f"vocab_size must be >= 2, got {vocab_size}")
-    words = _WORD_RE.findall(text.lower())
     return [
         1 + int.from_bytes(hashlib.sha256(w.encode("utf-8")).digest()[:8], "big")
         % (vocab_size - 1)
-        for w in words
+        for w in words(text)
     ]
 
 
@@ -164,8 +168,7 @@ def query_inputs(matrix: EmbeddingMatrix, triplets, vocab_size: int):
     for t, toks in zip(triplets, tok_lists):
         if not toks:
             raise DatasetError(f"pair {t.pair_id!r}: modification tokenizes to nothing")
-    # Per-row copies, then one stack: views or one fancy-indexed copy raised eval-large-gallery's
-    # peak RSS by 12 MB on some seeds, all of it glibc heap fragmentation.
+    # Per-row copies, then one stack, on purpose: the allocation shape sets peak RSS.
     rows = [matrix.values[matrix.row_index(t.reference_id)].copy() for t in triplets]
     return np.stack(rows).astype(np.float64), tok_lists
 

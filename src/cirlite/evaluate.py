@@ -11,7 +11,7 @@ import numpy as np
 from .data import query_inputs
 from .errors import CirliteError
 from .metrics import EvalReport, cirr_average, map_at_k, recall_at_k
-from .model import ParamSet, encode_queries, image_block
+from .model import ParamSet, image_block
 from .retrieval import (
     GalleryIndex,
     build_index_from_vectors,
@@ -21,9 +21,10 @@ from .retrieval import (
 from .store import EmbeddingMatrix
 
 # benchmarks/tracing.py wraps these names in this module when its traced
-# mode starts, so they stay bound although evaluate_queries no longer calls
-# them: it encodes all queries in one batch and scores them in blocks.
-from .model import compose_query as compose_query_for  # noqa: F401
+# mode starts. evaluate_queries calls the batched query encoder by the name
+# compose_query_for; the retrieval names stay bound although it no longer
+# calls them: it scores the queries in blocks.
+from .model import encode_queries as compose_query_for
 from .retrieval import rank_of, search_topk, subset_rank  # noqa: F401
 
 
@@ -66,7 +67,7 @@ def evaluate_queries(
     max_map_k = max(map_k_list)
 
     refs, tok_lists = query_inputs(matrix, triplets, p.vocab_size)
-    q_mat = encode_queries(p, refs, tok_lists)[-1]
+    q_mat = compose_query_for(p, refs, tok_lists)[-1]
     ranks, subset_ranks, ranked_lists = search_queries(
         index, q_mat, [t.target_id for t in triplets],
         [t.subset_ids for t in triplets], min(max_map_k, index.count))

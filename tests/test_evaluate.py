@@ -83,7 +83,8 @@ def test_evaluation_deterministic(world, params):
 
 def test_benchmark_tracer_wrap_points_resolve(world, params):
     # The benchmark's traced mode wraps program functions by name: each name
-    # must resolve, and evaluation must score the gallery once per block.
+    # must resolve, evaluation must encode the queries in one batch and score
+    # the gallery once per block, and tracing must not change the report.
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
     spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -92,8 +93,11 @@ def test_benchmark_tracer_wrap_points_resolve(world, params):
     tracer = tracing.Tracer(0.0)
     tracer.install()
     try:
-        evaluate_queries(params, world.embeddings, world.triplets)
+        traced = evaluate_queries(params, world.embeddings, world.triplets)
     finally:
         tracer.uninstall()
     assert [getattr(owner, attr) for owner, attr, *_ in tracing.WRAP_POINTS] == originals
     assert tracer.counts[("retrieval.gallery_scoring", "setup")] == 1
+    assert [span[0] for span in tracer.spans].count("evaluate.compose_query") == 1
+    untraced = evaluate_queries(params, world.embeddings, world.triplets)
+    assert traced.to_json() == untraced.to_json()

@@ -10,16 +10,13 @@ from cirlite.model import (
     BatchItem,
     ModelError,
     ParamSet,
-    compose_query,
-    decode_step,
     decoder_block,
-    encode_text,
+    encode_queries,
     forward_batch,
     greedy_decode,
     init_params,
     logits_block,
     output_weights,
-    project_image,
 )
 
 SMALL = dict(vocab_size=16, d_tok=4, d_img=6, d_joint=5, d_hidden=3)
@@ -59,21 +56,18 @@ def test_paramset_temperature_positive():
 
 
 # ---------------------------------------------------------------------------
-# encode_text
+# encode_queries and the decoder blocks
 # ---------------------------------------------------------------------------
 
+def step_logits(p, q, prev):
+    """One decoder step's logits, through the blocks the backward uses."""
+    return logits_block(output_weights(p), decoder_block(p, q, prev)[1])
+
+
 def test_encode_zero_params_gives_zero():
-    np.testing.assert_array_equal(encode_text(zero_params(), [1, 2, 3]), np.zeros(5))
-
-
-def test_encode_empty_rejected():
-    with pytest.raises(ModelError, match="empty"):
-        encode_text(small_params(), [])
-
-
-def test_encode_out_of_range_token():
-    with pytest.raises(ModelError, match="outside"):
-        encode_text(small_params(), [16])
+    _, txt, _, _, q_mat = encode_queries(zero_params(), np.ones((2, 6)), [[1, 2, 3], [4]])
+    np.testing.assert_array_equal(txt, np.zeros((2, 5)))
+    np.testing.assert_array_equal(q_mat, np.zeros((2, 5)))
 
 
 def test_encode_permutation_invariant():
@@ -82,63 +76,33 @@ def test_encode_permutation_invariant():
     for _ in range(20):
         toks = [int(t) for t in rng.integers(1, 16, size=5)]
         perm = [toks[i] for i in rng.permutation(5)]
-        np.testing.assert_allclose(encode_text(p, toks), encode_text(p, perm), atol=1e-12)
+        txt = encode_queries(p, np.zeros((2, 6)), [toks, perm])[1]
+        np.testing.assert_allclose(txt[0], txt[1], atol=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# compose_query
-# ---------------------------------------------------------------------------
-
-def test_compose_zero_params_gives_zero():
-    np.testing.assert_array_equal(
-        compose_query(zero_params(), np.ones(6), np.ones(5)), np.zeros(5)
-    )
-
-
-def test_compose_dimension_mismatch():
-    p = small_params()
-    with pytest.raises(ModelError, match="img_vec"):
-        compose_query(p, np.ones(7), np.ones(5))
-    with pytest.raises(ModelError, match="txt_vec"):
-        compose_query(p, np.ones(6), np.ones(4))
-
-
-def test_compose_sensitive_to_both_inputs():
+def test_encode_sensitive_to_both_inputs():
     rng = np.random.default_rng(2)
     p = small_params(2)
-    img, txt = rng.standard_normal(6), rng.standard_normal(5)
-    base = compose_query(p, img, txt)
-    assert not np.allclose(base, compose_query(p, img + 0.5, txt))
-    assert not np.allclose(base, compose_query(p, img, txt + 0.5))
+    img = rng.standard_normal(6)
+    q_mat = encode_queries(p, np.stack([img, img + 0.5, img]), [[1, 2], [1, 2], [3, 2]])[-1]
+    assert not np.allclose(q_mat[0], q_mat[1])
+    assert not np.allclose(q_mat[0], q_mat[2])
 
-
-# ---------------------------------------------------------------------------
-# decode_step / greedy_decode
-# ---------------------------------------------------------------------------
 
 def test_decode_zero_params_uniform_logits():
-    logits = decode_step(zero_params(), np.zeros(5), 0)
-    np.testing.assert_array_equal(logits, np.zeros(16))
+    np.testing.assert_array_equal(step_logits(zero_params(), np.zeros(5), 0), np.zeros(16))
 
 
 def test_decode_accepts_bos_index():
     p = small_params()
-    assert decode_step(p, np.zeros(5), p.vocab_size).shape == (16,)
-
-
-def test_decode_rejects_past_bos():
-    p = small_params()
-    with pytest.raises(ModelError, match="prev_token"):
-        decode_step(p, np.zeros(5), p.vocab_size + 1)
-    with pytest.raises(ModelError, match="prev_token"):
-        decode_step(p, np.zeros(5), -1)
+    assert step_logits(p, np.zeros(5), p.bos_token).shape == (16,)
 
 
 def test_decode_softmax_sums_to_one():
     rng = np.random.default_rng(3)
     p = small_params(3)
     for _ in range(10):
-        logits = decode_step(p, rng.standard_normal(5), int(rng.integers(0, 17)))
+        logits = step_logits(p, rng.standard_normal(5), int(rng.integers(0, 17)))
         probs = np.exp(logits - logits.max())
         probs /= probs.sum()
         assert abs(probs.sum() - 1.0) <= 1e-9
@@ -164,19 +128,20 @@ def test_greedy_respects_max_len():
         assert 1 <= len(out) <= 4
 
 
-def test_greedy_decode_follows_decode_step_argmax():
-    # greedy_decode stacks [w_out; b_out] once for all its steps; each step's
-    # logits are still decode_step's, bit for bit, so it emits the argmax of
-    # decode_step at every step.
-    rng = np.random.default_rng(6)
-    for seed in range(5):
+def test_greedy_decode_follows_teacher_forced_argmax():
+    # Teacher-forcing the greedy output through forward_batch gives, at every
+    # position, logits whose argmax is the token greedy_decode emitted there.
+    # Scaled decoder weights make the outputs vary, some ending at EOS.
+    for seed in range(6):
         p = small_params(seed)
-        q = rng.standard_normal(5)
+        p = dataclasses.replace(p, **{name: getattr(p, name) * 10
+                                      for name in ("tok_emb", "w_hid", "w_out")})
+        item = make_batch(seed, 1, with_targets=False)[0]
+        q = forward_batch(p, [item])[0][0]
         out = greedy_decode(p, q, 12)
-        prev = p.bos_token
-        for token in out:
-            assert token == int(np.argmax(decode_step(p, q, prev)))
-            prev = token
+        targets = out[:-1] if out[-1] == EOS_TOKEN else out
+        logit_seqs = forward_batch(p, [dataclasses.replace(item, target_toks=targets)])[2]
+        assert [int(np.argmax(row)) for row in logit_seqs[0][:len(out)]] == out
     with pytest.raises(ModelError):
         greedy_decode(small_params(), np.zeros(4), 3)
 
@@ -221,11 +186,11 @@ def test_forward_empty_batch_rejected():
         forward_batch(small_params(), [])
 
 
-def test_forward_dim_mismatch_rejected():
-    p = small_params()
-    bad = BatchItem(img_vec=np.ones(3), mod_toks=[1], target_img_vec=np.ones(6))
+@pytest.mark.parametrize("img, target", [(np.ones(3), np.ones(6)), (np.ones(6), np.ones(7))])
+def test_forward_dim_mismatch_rejected(img, target):
+    bad = BatchItem(img_vec=img, mod_toks=[1], target_img_vec=target)
     with pytest.raises(ModelError, match="image vectors"):
-        forward_batch(p, [bad])
+        forward_batch(small_params(), [bad])
 
 
 def test_forward_permutation_permutes_rows():
@@ -240,17 +205,20 @@ def test_forward_permutation_permutes_rows():
         np.testing.assert_array_equal(logits2[j], logits[i])
 
 
-def test_forward_rows_match_standalone_ops():
+def test_forward_rows_match_numpy_reference():
     p = small_params(8)
     batch = make_batch(2, 6)
     q, t, _, _ = forward_batch(p, batch)
     for j, item in enumerate(batch):
-        txt = encode_text(p, item.mod_toks)
-        np.testing.assert_allclose(q[j], compose_query(p, item.img_vec, txt), atol=1e-7)
-        np.testing.assert_allclose(t[j], project_image(p, item.target_img_vec), atol=1e-7)
+        txt = np.tanh(p.tok_emb[item.mod_toks].mean(axis=0) @ p.w_txt + p.b_txt)
+        g_img = np.tanh(item.img_vec @ p.w_img + p.b_img)
+        expected = np.tanh(np.concatenate([g_img, txt]) @ p.w_comp + p.b_comp)
+        np.testing.assert_allclose(q[j], expected, atol=1e-12)
+        np.testing.assert_allclose(t[j], np.tanh(item.target_img_vec @ p.w_img + p.b_img),
+                                   atol=1e-12)
 
 
-def test_forward_teacher_forcing_matches_decode_step():
+def test_forward_teacher_forcing_matches_numpy_reference():
     p = small_params(9)
     batch = make_batch(3, 2)
     # A repeated bigram: item 0's positions share decoder rows.
@@ -261,18 +229,28 @@ def test_forward_teacher_forcing_matches_decode_step():
     np.testing.assert_array_equal(logit_seqs[-1], logit_seqs[len(batch) - 1])
     for j, item in enumerate(batch):
         targets = list(item.target_toks) + [EOS_TOKEN]
-        prev = p.vocab_size
+        prev = p.bos_token
         for pos, target in enumerate(targets):
-            np.testing.assert_allclose(
-                logit_seqs[j][pos], decode_step(p, q[j], prev), atol=1e-9
-            )
+            hidden = np.tanh(np.concatenate([q[j], p.tok_emb[prev]]) @ p.w_hid + p.b_hid)
+            np.testing.assert_allclose(logit_seqs[j][pos], hidden @ p.w_out + p.b_out,
+                                       atol=1e-9)
             prev = target
+
+
+@pytest.mark.parametrize("field, toks, message", [
+    ("mod_toks", [], "empty modification tokens"), ("mod_toks", [16], "token 16 outside"),
+    ("target_toks", [16], "token 16 outside"), ("target_toks", [-1], "token -1 outside"),
+])
+def test_forward_rejects_tokens_outside_vocabulary(field, toks, message):
+    item = dataclasses.replace(make_batch(0, 1)[0], **{field: toks})
+    with pytest.raises(ModelError, match=message):
+        forward_batch(small_params(), [item])
 
 
 def test_logits_block_folds_output_bias_into_gemm():
     # [a_hid | 1] @ [w_out; b_out] is a_hid @ w_out + b_out up to rounding,
-    # for a block of rows, for the single-row decode_step path, and written
-    # into a caller's buffer.
+    # for a block of rows, for greedy_decode's single row, and written into
+    # a caller's buffer.
     for seed in range(3):
         p = init_params(seed, vocab_size=300, d_tok=6, d_img=6, d_joint=5, d_hidden=7)
         rng = np.random.default_rng(seed)
@@ -291,7 +269,6 @@ def test_logits_block_folds_output_bias_into_gemm():
         row_logits = logits_block(w_ob, a_row)
         assert row_logits.shape == (p.vocab_size,)
         assert np.abs(row_logits - (a_row @ p.w_out + p.b_out)).max() <= 1e-12 * scale
-        np.testing.assert_array_equal(decode_step(p, q[0], int(prev[0])), row_logits)
 
 
 def test_forward_purity():
@@ -312,12 +289,11 @@ def test_shape_closure_across_configs():
     ):
         p = init_params(0, **dims)
         toks = [int(t) for t in rng.integers(1, dims["vocab_size"], size=3)]
-        txt = encode_text(p, toks)
-        assert txt.shape == (dims["d_joint"],)
-        q = compose_query(p, rng.standard_normal(dims["d_img"]), txt)
-        assert q.shape == (dims["d_joint"],)
-        logits = decode_step(p, q, toks[0])
-        assert logits.shape == (dims["vocab_size"],)
+        encoded = encode_queries(p, rng.standard_normal((1, dims["d_img"])), [toks])
+        assert [a.shape for a in encoded] == [
+            (1, dims["d_tok"]), (1, dims["d_joint"]), (1, dims["d_joint"]),
+            (1, 2 * dims["d_joint"]), (1, dims["d_joint"])]
+        assert step_logits(p, encoded[-1][0], toks[0]).shape == (dims["vocab_size"],)
         item = BatchItem(
             img_vec=rng.standard_normal(dims["d_img"]),
             mod_toks=toks,

@@ -11,7 +11,6 @@ from cirlite.retrieval import (
     rank_of,
     search_queries,
     search_topk,
-    search_topk_batch,
     subset_rank,
 )
 from cirlite.store import DuplicateIdError, EmbeddingMatrix, ZeroVectorError, l2_normalize
@@ -149,8 +148,6 @@ def test_topk_zero_query_rejected():
     q_mat = rng.standard_normal((4, 3))
     q_mat[2] = 0.0
     with pytest.raises(ZeroVectorError):
-        search_topk_batch(index, q_mat, 3)
-    with pytest.raises(ZeroVectorError):
         search_queries(index, q_mat, ["g0000"] * 4, [None] * 4, 3)
 
 
@@ -181,7 +178,7 @@ def test_batch_search_position_aligned():
     rng = np.random.default_rng(8)
     index = random_gallery(rng, 15, 4)
     q_mat = rng.standard_normal((3, 4))
-    results = search_topk_batch(index, q_mat, 5)
+    results = search_queries(index, q_mat, index.ids[:3], [None] * 3, 5)[2]
     for j in range(3):
         assert results[j].ids == search_topk(index, q_mat[j], 5).ids
 
@@ -204,7 +201,6 @@ def test_batch_agrees_with_single_and_oracle_on_ties(monkeypatch):
             others = [f"g{int(i):04d}" for i in rng.choice(count, size=int(rng.integers(0, 4)))]
             subsets.append(None if j % 3 == 0 else [*others, target])
         ranks, subset_ranks, ranked = search_queries(index, q_mat, targets, subsets, k)
-        assert [r.ids for r in ranked] == [r.ids for r in search_topk_batch(index, q_mat, k)]
         expected_subset_ranks = []
         for j, q in enumerate(q_mat):
             oracle = sorted_oracle(index, q)
@@ -231,7 +227,7 @@ def test_ranked_results_jsonl_export(tmp_path):
 
     rng = np.random.default_rng(17)
     index = random_gallery(rng, 12, 4)
-    ranked = search_topk_batch(index, rng.standard_normal((2, 4)), 3)
+    ranked = [search_topk(index, q, 3) for q in rng.standard_normal((2, 4))]
     path = tmp_path / "ranked.jsonl"
     write_ranked_results(["q0", "q1"], ranked, path)
     lines = [json.loads(line) for line in path.read_text().splitlines()]

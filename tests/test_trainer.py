@@ -33,7 +33,6 @@ from cirlite.trainer import (
     backward,
     build_training_items,
     central_difference,
-    checkpoint_seed,
     combined_loss,
     cross_entropy_seq,
     finite_diff_grad,
@@ -52,6 +51,12 @@ SMALL = dict(vocab_size=16, d_tok=4, d_img=6, d_joint=5, d_hidden=3)
 
 def small_params(seed=0):
     return init_params(seed, **SMALL)
+
+
+def checkpoint_header(path):
+    """A checkpoint's JSON header line, parsed."""
+    with open(path, "rb") as handle:
+        return json.loads(handle.readline())
 
 
 def small_batch(seed, n=3):
@@ -1133,9 +1138,8 @@ def test_checkpoint_values_are_f32_cast(tmp_path):
                                 temperature=float(rng.uniform(0.01, 1.0)))
         seed = int(rng.integers(0, 2**31)) if i % 2 else None
         save_checkpoint(p, tmp_path / "p.ckpt", seed=seed)
-        header, _ = trainer_mod._read_checkpoint(tmp_path / "p.ckpt")
-        assert header == trainer_mod._CheckpointHeader(
-            trainer_mod.CHECKPOINT_VERSION, **dims, temperature=p.temperature, seed=seed)
+        assert checkpoint_header(tmp_path / "p.ckpt") == dict(
+            version=trainer_mod.CHECKPOINT_VERSION, **dims, temperature=p.temperature, seed=seed)
         loaded = load_checkpoint(tmp_path / "p.ckpt")
         for name in PARAM_FIELDS:
             np.testing.assert_array_equal(
@@ -1161,12 +1165,12 @@ def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch):
     monkeypatch.undo()
     save_checkpoint(small_params(1), path, seed=2)
     assert load_checkpoint(path).w_txt.shape == small_params(1).w_txt.shape
-    assert checkpoint_seed(path) == 2
+    assert checkpoint_header(path)["seed"] == 2
 
 
 def test_checkpoint_seed_recorded(tmp_path):
     save_checkpoint(small_params(), tmp_path / "p.ckpt", seed=42)
-    assert checkpoint_seed(tmp_path / "p.ckpt") == 42
+    assert checkpoint_header(tmp_path / "p.ckpt")["seed"] == 42
 
 
 def test_checkpoint_version_mismatch(tmp_path):
@@ -1209,9 +1213,8 @@ def test_checkpoint_missing_file():
 def test_checkpoint_header_not_object(tmp_path):
     path = tmp_path / "p.ckpt"
     path.write_bytes(b"[1]\n")
-    for read in (load_checkpoint, checkpoint_seed):
-        with pytest.raises(CheckpointError, match="not a JSON object"):
-            read(path)
+    with pytest.raises(CheckpointError, match="not a JSON object"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_header_unknown_field(tmp_path):
@@ -1237,7 +1240,7 @@ def test_checkpoint_header_missing_fields(tmp_path):
         load_checkpoint(path)
     header["d_tok"] = small_params(3).d_tok
     path.write_bytes(json.dumps(header).encode() + data[newline:])
-    assert checkpoint_seed(path) is None  # a header without a seed reads as null
+    assert load_checkpoint(path).d_tok == small_params(3).d_tok  # the seed is optional
 
 
 @pytest.mark.parametrize("change", [
@@ -1252,9 +1255,8 @@ def test_checkpoint_header_field_of_wrong_type(tmp_path, change):
     newline = data.index(b"\n")
     header = {**json.loads(data[:newline]), **change}
     path.write_bytes(json.dumps(header).encode() + data[newline:])
-    for read in (load_checkpoint, checkpoint_seed):
-        with pytest.raises(CheckpointError, match=f"header: {next(iter(change))} must be"):
-            read(path)
+    with pytest.raises(CheckpointError, match=f"header: {next(iter(change))} must be"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("temperature, message", [
@@ -1280,7 +1282,7 @@ def test_checkpoint_header_int_temperature_and_null_seed_load(tmp_path):
     header = {**json.loads(data[:newline]), "temperature": 1}
     path.write_bytes(json.dumps(header).encode() + data[newline:])
     assert load_checkpoint(path).temperature == 1.0
-    assert checkpoint_seed(path) is None
+    assert checkpoint_header(path)["seed"] is None
 
 
 def test_stage2_step_loss_components():
