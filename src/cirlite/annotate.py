@@ -85,21 +85,6 @@ class EndpointError(AnnotateError):
     """Remote generator or judge endpoint unreachable or malformed reply."""
 
 
-@dataclass(frozen=True)
-class StagePrompt:
-    """A generator prompt carrying the three stage instructions."""
-
-    pair_id: str
-    prompt_text: str
-
-    def __post_init__(self):
-        for marker in _MARKERS:
-            if self.prompt_text.count(marker) != 1:
-                raise AnnotateError(
-                    f"pair {self.pair_id!r}: prompt must contain {marker} exactly once"
-                )
-
-
 class GeneratorClient(Protocol):
     def generate(self, prompt: str) -> str: ...
 
@@ -108,8 +93,9 @@ class JudgeClient(Protocol):
     def score(self, conclusion: str, target_descriptor: str) -> int: ...
 
 
-def build_annotation_prompt(t: Triplet, reference_descriptor: str) -> StagePrompt:
-    """Build the deterministic three-stage prompt for one triplet."""
+def build_annotation_prompt(t: Triplet, reference_descriptor: str) -> str:
+    """Build the deterministic three-stage prompt for one triplet; it holds
+    each stage marker exactly once."""
     if not t.modification_text.strip():
         raise AnnotateError(f"pair {t.pair_id!r}: empty modification text")
     if not reference_descriptor or not reference_descriptor.strip():
@@ -121,7 +107,10 @@ def build_annotation_prompt(t: Triplet, reference_descriptor: str) -> StagePromp
         reasoning_marker=REASONING_MARKER,
         conclusion_marker=CONCLUSION_MARKER,
     )
-    return StagePrompt(pair_id=t.pair_id, prompt_text=text)
+    for marker in _MARKERS:
+        if text.count(marker) != 1:
+            raise AnnotateError(f"pair {t.pair_id!r}: prompt must contain {marker} exactly once")
+    return text
 
 
 def parse_structured_output(raw: str, pair_id: str = "") -> CoTAnnotation:
@@ -415,8 +404,7 @@ def annotate_triplets(triplets, generator: GeneratorClient, judges: list[JudgeCl
     for t in triplets:
         if t.reference_descriptor is None or t.target_descriptor is None:
             raise AnnotateError(f"pair {t.pair_id!r}: missing descriptors")
-        prompt = build_annotation_prompt(t, t.reference_descriptor)
-        raw = generator.generate(prompt.prompt_text)
+        raw = generator.generate(build_annotation_prompt(t, t.reference_descriptor))
         try:
             annotation = parse_structured_output(raw, pair_id=t.pair_id)
         except ParseError:

@@ -16,7 +16,6 @@ import dataclasses
 import json
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import annotate as annotate_mod
 from . import data as data_mod
@@ -24,7 +23,8 @@ from . import trainer as trainer_mod
 from .errors import CirliteError
 from .evaluate import evaluate_queries
 from .metrics import EvalReport, MetricError, display_round
-from .store import check_field_types, load_embeddings, parse_json, read_record, write_atomic
+from .store import (check_field_types, load_embeddings, parse_json, read_input, read_record,
+                    write_atomic)
 
 
 @dataclass
@@ -71,6 +71,10 @@ class RunConfig:
 
     def __post_init__(self):
         check_field_types(self, CirliteError, "config")
+        for name, value in vars(self).items():  # no file path or URL can hold a NUL
+            strings = value if isinstance(value, list) else [value]
+            if any(isinstance(s, str) and "\0" in s for s in strings):
+                raise CirliteError(f"config: {name} must not contain a NUL character")
         for name in ("k_list", "subset_k_list", "map_k_list"):
             values = getattr(self, name)
             if not values or any(v < 1 for v in values) or sorted(set(values)) != values:
@@ -103,12 +107,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     config_path = getattr(args, "config", None)
     if config_path:
-        try:
-            raw = Path(config_path).read_bytes()
-        except OSError as exc:
-            raise CirliteError(f"cannot read config {config_path}: {exc}") from exc
-        where = str(config_path)
-        cfg = read_record(RunConfig, parse_json(raw, CirliteError, where), CirliteError, where)
+        raw = read_input(config_path, CirliteError, "config")
+        cfg = read_record(RunConfig, parse_json(raw, CirliteError, config_path), CirliteError,
+                          config_path)
     return dataclasses.replace(cfg, **{name: value for name in _FIELD_TYPES
                                        if (value := getattr(args, name, None)) is not None})
 
@@ -256,9 +257,10 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 def cmd_report(cfg: RunConfig) -> int:
     _require(cfg, "report")
+    raw = read_input(cfg.report, CirliteError, "report")
     try:
-        report = EvalReport.from_json(Path(cfg.report).read_bytes())
-    except (OSError, MetricError) as exc:
+        report = EvalReport.from_json(raw)
+    except MetricError as exc:
         raise CirliteError(f"cannot read report {cfg.report}: {exc}") from exc
     print(f"queries: {report.query_count}")
     for k, value in report.recall.items():

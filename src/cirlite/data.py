@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CirliteError
 from .store import (MANIFEST_FILENAME, EmbeddingMatrix, check_field_types, parse_json,
-                    read_record, save_embeddings, write_jsonl)
+                    read_input, read_record, save_embeddings, write_jsonl)
 
 DEFAULT_VOCAB = 4096
 
@@ -106,14 +106,12 @@ class CoTAnnotation:
 
 def _load_jsonl(path, kind: str, cls) -> list:
     """One cls record per non-blank JSONL line; every error names the file and line."""
-    if not Path(path).is_file():
-        raise DatasetError(f"{kind} file not found: {path}")
+    lines = read_input(path, DatasetError, f"{kind} file").split(b"\n")
     items = []
-    with open(path, "rb") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if line.strip():
-                doc = parse_json(line, DatasetError, f"{path}:{lineno}: {kind}")
-                items.append(read_record(cls, doc, DatasetError, f"{path}:{lineno}"))
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            doc = parse_json(line, DatasetError, f"{path}:{lineno}: {kind}")
+            items.append(read_record(cls, doc, DatasetError, f"{path}:{lineno}"))
     return items
 
 

@@ -159,25 +159,43 @@ def _checksum(raw: bytes) -> str:
     return "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
+def read_input(path, error: type[CirliteError], kind: str) -> bytes:
+    """The bytes of the regular file at path. A missing path, a directory,
+    a device or a FIFO is refused without being opened, and an unreadable
+    file when it fails to open: error("cannot read {kind} {path}: {reason}")."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise error(f"cannot read {kind} {path}: not a regular file")
+        with open(path, "rb") as handle:
+            return handle.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in path
+        reason = getattr(exc, "strerror", None) or exc  # the OS message without file names
+        raise error(f"cannot read {kind} {path}: {reason}") from exc
+
+
 def write_atomic(path, data: bytes) -> None:
     """Write data to path so that path holds either its previous contents or
     all of data, never a part: the bytes go to a temp file in the same
     directory, are flushed to disk, then os.replace moves them into place.
     A symlink at path is followed, and an existing file keeps its
-    permissions. On failure the temp file is removed and the error
-    propagates."""
-    path = Path(path).resolve()
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    permissions. On failure the temp file is removed and StoreError
+    ("cannot write {path}: {reason}") names path, never the temp file."""
     try:
-        with open(tmp, "xb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        if path.exists():
-            os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        target = Path(path).resolve()
+        tmp = target.with_name(f".{target.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+        try:
+            with open(tmp, "xb") as handle:
+                handle.write(data)
+                handle.flush()
+                os.fsync(handle.fileno())
+            if target.exists():
+                os.chmod(tmp, stat.S_IMODE(target.stat().st_mode))
+            os.replace(tmp, target)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except (OSError, ValueError) as exc:  # as in read_input
+        reason = getattr(exc, "strerror", None) or exc
+        raise StoreError(f"cannot write {path}: {reason}") from exc
 
 
 def write_jsonl(records, path) -> None:
@@ -270,13 +288,13 @@ def save_embeddings(matrix: EmbeddingMatrix, out_dir) -> Manifest:
     )
     try:
         out.mkdir(parents=True, exist_ok=True)
-        write_atomic(out / VALUES_FILENAME, raw)
-        write_atomic(out / IDS_FILENAME,
-                     "".join(item_id + "\n" for item_id in matrix.ids).encode("utf-8"))
-        write_atomic(out / MANIFEST_FILENAME,
-                     (json.dumps(asdict(manifest), indent=2) + "\n").encode("utf-8"))
     except OSError as exc:
         raise StoreError(f"cannot write embeddings to {out}: {exc}") from exc
+    write_atomic(out / VALUES_FILENAME, raw)
+    write_atomic(out / IDS_FILENAME,
+                 "".join(item_id + "\n" for item_id in matrix.ids).encode("utf-8"))
+    write_atomic(out / MANIFEST_FILENAME,
+                 (json.dumps(asdict(manifest), indent=2) + "\n").encode("utf-8"))
     return manifest
 
 
@@ -289,30 +307,21 @@ def load_embeddings(manifest_path) -> EmbeddingMatrix:
     NaN/Inf values, DuplicateIdError for repeated ids.
     """
     path = Path(manifest_path)
-    if not path.is_file():
-        raise ManifestError(f"manifest not found: {path}")
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+    raw = read_input(manifest_path, ManifestError, "manifest")
     where = f"manifest {path}"
     manifest = read_record(Manifest, parse_json(raw, ManifestError, where), ManifestError, where)
     count, dims = manifest.count, manifest.dims
 
     values_path = path.parent / manifest.values_file
     ids_path = path.parent / manifest.ids_file
-    if not values_path.is_file():
-        raise ManifestError(f"values file not found: {values_path}")
-    if not ids_path.is_file():
-        raise ManifestError(f"ids file not found: {ids_path}")
-
-    raw = values_path.read_bytes()
+    raw = read_input(values_path, ManifestError, "values file")
+    ids_raw = read_input(ids_path, ManifestError, "ids file")
     if _checksum(raw) != manifest.checksum:
         raise ChecksumMismatchError(
             f"checksum mismatch for {values_path}: expected {manifest.checksum}"
         )
     try:
-        ids = ids_path.read_bytes().decode("utf-8").splitlines()
+        ids = ids_raw.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ManifestError(f"ids file {ids_path} is not UTF-8: {exc}") from exc
     if len(ids) != count:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import asdict, dataclass, field, make_dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -40,7 +39,8 @@ from .model import (
     pool_tokens,
     text_block,
 )
-from .store import check_field_types, parse_json, read_record, write_atomic, write_jsonl
+from .store import (check_field_types, parse_json, read_input, read_record, write_atomic,
+                    write_jsonl)
 
 CHECKPOINT_VERSION = 1
 
@@ -266,16 +266,6 @@ def backward(p: ParamSet, trace: ForwardTrace, batch, config: TrainConfig) -> Gr
     and doubling lambda_txt doubles the text contribution exactly (scaling
     by powers of two is lossless).
     """
-    return _backward_with_losses(p, trace, batch, config)[0]
-
-
-def _backward_with_losses(p: ParamSet, trace: ForwardTrace, batch,
-                          config: TrainConfig, buffer: np.ndarray | None = None):
-    """backward() plus the loss values, sharing one softmax evaluation.
-
-    buffer, a _decoder_buffer(p.vocab_size), holds each block of logits;
-    without one, the call allocates its own.
-    """
     batch = list(batch)
     if trace.n_items != len(batch):
         raise TrainerError(
@@ -284,6 +274,13 @@ def _backward_with_losses(p: ParamSet, trace: ForwardTrace, batch,
     for j, item in enumerate(batch):
         if list(item.mod_toks) != trace.mod_toks[j]:
             raise TrainerError(f"batch item {j} does not match the trace")
+    return _backward_with_losses(p, trace, config, _decoder_buffer(p.vocab_size))[0]
+
+
+def _backward_with_losses(p: ParamSet, trace: ForwardTrace, config: TrainConfig,
+                          buffer: np.ndarray):
+    """backward() plus the loss values, sharing one softmax evaluation.
+    buffer, a _decoder_buffer(p.vocab_size), holds each block of logits."""
     n = trace.n_items
     d = p.d_joint
 
@@ -300,11 +297,10 @@ def _backward_with_losses(p: ParamSet, trace: ForwardTrace, batch,
     rows, targets = trace.row_of_pos, trace.targets_flat
     positions, n_rows = targets.size, trace.row_counts.size
     text_grads = config.lambda_txt != 0.0
-    if buffer is None:
-        buffer = _decoder_buffer(p.vocab_size)
     block = buffer.shape[0]
     w_ob = output_weights(p)
     terms = np.empty(positions)
+    out_grad = np.zeros(w_ob.shape)  # [w_out; b_out] gradients; zero at lambda_txt = 0
     d_a = np.empty((n_rows, p.d_hidden))
     for lo in range(0, n_rows, block):
         hi = min(lo + block, n_rows)
@@ -313,20 +309,13 @@ def _backward_with_losses(p: ParamSet, trace: ForwardTrace, batch,
         terms[pos], sums = _ce_exps(exps, rows[pos] - lo, targets[pos])
         if text_grads:
             scale = config.lambda_txt * trace.row_counts[lo:hi] / (positions * sums)
-            part = np.concatenate([trace.a_hid[lo:hi] * scale[:, None], scale[:, None]],
-                                  axis=1).T @ exps
-            if lo == 0:
-                out_grad = part
-            else:
-                out_grad += part
+            out_grad += np.concatenate([trace.a_hid[lo:hi] * scale[:, None], scale[:, None]],
+                                       axis=1).T @ exps
             d_a[lo:hi] = (exps @ p.w_out.T) * scale[:, None]
     l_txt = float(np.mean(terms))
+    g = _zero_grads(p, w_out=out_grad[:-1], b_out=out_grad[-1])
     d_q = np.zeros((n, d))
-    if not text_grads:
-        g = _zero_grads(p)
-    else:
-        # The w_out and b_out gradients are the GEMM sum's rows, not zeros.
-        g = _zero_grads(p, w_out=out_grad[:-1], b_out=out_grad[-1])
+    if text_grads:
         onehot_weight = config.lambda_txt / positions
         np.subtract.at(g.w_out.T, targets, onehot_weight * trace.a_hid[rows])
         g.b_out -= onehot_weight * np.bincount(targets, minlength=p.vocab_size)
@@ -567,16 +556,16 @@ def _fresh_params(world: SynthWorld, config: TrainConfig) -> ParamSet:
 
 def _train(p: ParamSet, items, config: TrainConfig, step, loss_log) -> ParamSet:
     """SGD over seeded shuffles of items. step(p, batch, config) returns
-    (gradients, the log entry's losses, a trace to keep through the update)."""
+    (gradients, the log entry's losses)."""
     for epoch in range(config.epochs):
         for index, batch in enumerate(
             batch_iter(items, config.batch_size, _loop_seed(config.seed, config.stage, epoch))
         ):
-            grads, losses, trace = step(p, batch, config)
+            grads, losses = step(p, batch, config)
             p = sgd_step(p, grads, config.learning_rate)
-            # Drop the trace and gradients after the update, before the next
-            # forward allocates its own.
-            del grads, trace
+            # Drop the gradients after the update, before the next step
+            # allocates its own.
+            del grads
             if loss_log is not None:
                 loss_log.append(dict(stage=config.stage, epoch=epoch, step=index, **losses))
     return p
@@ -594,16 +583,17 @@ def _stage1_gradients(p: ParamSet, batch, config: TrainConfig):
     g = _zero_grads(p)
     d_enc = config.lambda_info * np.concatenate([d_prem, d_pos])
     _text_encoder_backward(p, g, x_mean, enc, d_enc, tok_seqs)
-    return g, dict(l_txt=0.0, l_info=l_info, combined=config.lambda_info * l_info), None
+    combined = combined_loss(0.0, l_info, config.lambda_txt, config.lambda_info)
+    return g, dict(l_txt=0.0, l_info=l_info, combined=combined)
 
 
-def _stage2_step(p: ParamSet, batch, config: TrainConfig, buffer: np.ndarray | None = None):
-    """Stage 2's step: the combined objective's gradients, losses and trace.
+def _stage2_step(p: ParamSet, batch, config: TrainConfig, buffer: np.ndarray):
+    """Stage 2's step: the combined objective's gradients and losses.
     buffer is the backward's logits block (see _backward_with_losses)."""
     _, _, _, trace = forward_batch(p, batch)
-    grads, l_txt, l_info = _backward_with_losses(p, trace, batch, config, buffer)
+    grads, l_txt, l_info = _backward_with_losses(p, trace, config, buffer)
     combined = combined_loss(l_txt, l_info, config.lambda_txt, config.lambda_info)
-    return grads, dict(l_txt=l_txt, l_info=l_info, combined=combined), trace
+    return grads, dict(l_txt=l_txt, l_info=l_info, combined=combined)
 
 
 def train_stage1(world: SynthWorld, config: TrainConfig, *,
@@ -710,10 +700,7 @@ def save_checkpoint(p: ParamSet, path, *, seed: int | None = None) -> None:
 
 def load_checkpoint(path) -> ParamSet:
     """Load and validate a checkpoint written by save_checkpoint."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    data = read_input(path, CheckpointError, "checkpoint")
     newline = data.find(b"\n")
     if newline < 0:
         raise CheckpointError(f"checkpoint {path} has no header line")

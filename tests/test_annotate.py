@@ -49,13 +49,13 @@ def make_triplet(**overrides):
 def test_prompt_contains_each_marker_once():
     prompt = build_annotation_prompt(make_triplet(), "item with blue round")
     for marker in ("[CAPTION]", "[REASONING]", "[CONCLUSION]"):
-        assert prompt.prompt_text.count(marker) == 1
+        assert prompt.count(marker) == 1
 
 
 def test_prompt_embeds_descriptor_and_modification():
     prompt = build_annotation_prompt(make_triplet(), "item with blue round")
-    assert "item with blue round" in prompt.prompt_text
-    assert "addred dropblue" in prompt.prompt_text
+    assert "item with blue round" in prompt
+    assert "addred dropblue" in prompt
 
 
 def test_prompt_rejects_empty_modification():
@@ -63,10 +63,15 @@ def test_prompt_rejects_empty_modification():
         build_annotation_prompt(make_triplet(modification_text="  "), "item")
 
 
+def test_prompt_rejects_a_marker_in_the_descriptor():
+    with pytest.raises(AnnotateError, match=r"prompt must contain \[CAPTION\] exactly once"):
+        build_annotation_prompt(make_triplet(), "item [CAPTION] blue")
+
+
 def test_prompt_deterministic():
     a = build_annotation_prompt(make_triplet(), "item with blue round")
     b = build_annotation_prompt(make_triplet(), "item with blue round")
-    assert a.prompt_text == b.prompt_text
+    assert a == b
 
 
 # ---------------------------------------------------------------------------
@@ -155,24 +160,24 @@ def test_mock_output_always_parseable():
     for trial in range(30):
         t = make_triplet(modification_text="addred dropblue" if trial % 2 else "addtall")
         prompt = build_annotation_prompt(t, t.reference_descriptor)
-        ann = parse_structured_output(mock_generate(prompt.prompt_text, int(rng.integers(1000))))
+        ann = parse_structured_output(mock_generate(prompt, int(rng.integers(1000))))
         assert ann.conclusion
 
 
 def test_mock_deterministic():
-    prompt = build_annotation_prompt(make_triplet(), "item with blue round").prompt_text
+    prompt = build_annotation_prompt(make_triplet(), "item with blue round")
     assert mock_generate(prompt, 7) == mock_generate(prompt, 7)
 
 
 def test_mock_applies_add_and_drop():
-    prompt = build_annotation_prompt(make_triplet(), "item with blue round").prompt_text
+    prompt = build_annotation_prompt(make_triplet(), "item with blue round")
     ann = parse_structured_output(mock_generate(prompt, 0))
     words = ann.conclusion.split()
     assert "red" in words and "round" in words and "blue" not in words
 
 
 def test_mock_seed_variation_no_collisions():
-    prompt = build_annotation_prompt(make_triplet(), "item with blue round").prompt_text
+    prompt = build_annotation_prompt(make_triplet(), "item with blue round")
     conclusions = {
         parse_structured_output(mock_generate(prompt, seed)).conclusion
         for seed in range(1000)

@@ -1,4 +1,5 @@
-"""Every public top-level function and class in src/cirlite has a caller.
+"""Every public top-level function and class in src/cirlite has a caller,
+and only the store touches files.
 
 A name counts as used when it is referenced in another part of the package
 (its own definition and the package's re-exports in __init__.py do not
@@ -15,6 +16,11 @@ PACKAGE = ROOT / "src" / "cirlite"
 
 # Kept without a caller: the readable-rationale work builds on it.
 EXCEPTIONS = {"greedy_decode"}
+
+# Calls that open, read, write or probe a file; store.py alone makes them,
+# so every input is read by one rule and every output written by one.
+FILE_CALLS = {"open", "read_bytes", "read_text", "write_bytes", "write_text", "is_file",
+              "exists"}
 
 
 def _names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -64,3 +70,22 @@ def unreferenced_public_names(package: Path, outside: list[Path]) -> list[str]:
 def test_every_public_function_and_class_has_a_caller():
     outside = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "benchmarks").glob("*.py"))]
     assert unreferenced_public_names(PACKAGE, outside) == []
+
+
+def file_calls(package: Path) -> list[str]:
+    """module:line: name of every FILE_CALLS call in package outside store.py."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "store.py":
+            continue
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in FILE_CALLS:
+                    found.append(f"{path.stem}:{node.lineno}: {name}")
+    return found
+
+
+def test_only_the_store_touches_files():
+    assert file_calls(PACKAGE) == []

@@ -234,6 +234,97 @@ def test_eval_failed_report_write_keeps_previous_report(world_dir, tmp_path, mon
 
 
 # ---------------------------------------------------------------------------
+# The file matrix: every path flag against paths it cannot use
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def good_files(world_dir, tmp_path_factory):
+    """world_dir's paths plus a good annotation file, accepted annotations
+    and a checkpoint."""
+    root = tmp_path_factory.mktemp("good")
+    files = {name: str(path) for name, path in world_dir.items()}
+    files.update(annotations=str(root / "ann.jsonl"), accepted=str(root / "acc.jsonl"),
+                 checkpoint=str(root / "s1.ckpt"))
+    for argv in (
+        ["annotate", "--triplets", files["train"], "--annotations", files["annotations"],
+         "--mock"],
+        ["filter", "--annotations", files["annotations"], "--accepted", files["accepted"],
+         "--rejected", str(root / "rej.jsonl")],
+        ["train", "--stage", "1", "--embeddings", files["embeddings"], "--nli-pairs",
+         files["nli_pairs"], "--epochs", "1", "--vocab-size", "64",
+         "--checkpoint", files["checkpoint"]],
+    ):
+        assert main(argv) == 0, argv
+    return files
+
+
+# Each path flag's command, BAD standing for the flag's value and {name}
+# for a good file (good_files) or, as {out}, the test's own directory.
+_INPUT_FLAGS = {
+    "manifest": ("manifest", "ingest --embeddings BAD --triplets {triplets}"),
+    "triplets": ("triplet file", "ingest --embeddings {embeddings} --triplets BAD"),
+    "nli-pairs": ("nli pair file", "train --stage 1 --embeddings {embeddings} "
+                  "--nli-pairs BAD --checkpoint {out}/c.ckpt"),
+    "annotations": ("annotation file", "filter --annotations BAD "
+                    "--accepted {out}/a.jsonl --rejected {out}/r.jsonl"),
+    "init-checkpoint": ("checkpoint", "train --stage 2 --embeddings {embeddings} "
+                        "--triplets {train} --annotations {accepted} "
+                        "--init-checkpoint BAD --checkpoint {out}/c.ckpt"),
+    "eval-checkpoint": ("checkpoint", "eval --checkpoint BAD --embeddings {embeddings} "
+                        "--triplets {eval} --report {out}/r.json"),
+    "report": ("report", "report --report BAD"),
+    "config": ("config", "ingest --config BAD"),
+}
+_OUTPUT_FLAGS = {
+    "annotations": "annotate --triplets {train} --mock --annotations BAD",
+    "accepted": "filter --annotations {annotations} --accepted BAD --rejected {out}/r.jsonl",
+    "rejected": "filter --annotations {annotations} --accepted {out}/a.jsonl --rejected BAD",
+    "checkpoint": "train --stage 1 --embeddings {embeddings} --nli-pairs {nli_pairs} "
+                  "--epochs 1 --vocab-size 64 --checkpoint BAD",
+    "loss-log": "train --stage 1 --embeddings {embeddings} --nli-pairs {nli_pairs} "
+                "--epochs 1 --vocab-size 64 --checkpoint {out}/c.ckpt --loss-log BAD",
+    "report": "eval --checkpoint {checkpoint} --embeddings {embeddings} --triplets {eval} "
+              "--report BAD",
+    "ranked-out": "eval --checkpoint {checkpoint} --embeddings {embeddings} "
+                  "--triplets {eval} --report {out}/r.json --ranked-out BAD",
+}
+
+
+def _run_with_bad_path(template, files, out, bad, capsys):
+    """Exit code and stderr of the command with bad for BAD."""
+    argv = [bad if word == "BAD" else word.format(**files, out=out)
+            for word in template.split()]
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["missing", "directory", "/dev/null"])
+@pytest.mark.parametrize("flag", sorted(_INPUT_FLAGS))
+def test_unusable_input_path_exits_1(good_files, tmp_path, capsys, flag, bad):
+    # /dev/null stands for every device; a device such as /dev/zero would be
+    # read until memory runs out if it were ever taken for a file.
+    kind, template = _INPUT_FLAGS[flag]
+    (tmp_path / "directory").mkdir()
+    path = bad if bad == "/dev/null" else str(tmp_path / bad)
+    code, err = _run_with_bad_path(template, good_files, tmp_path, path, capsys)
+    assert code == 1
+    assert err.startswith(f"error: cannot read {kind} {path}: ") and err.count("\n") == 1, err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["directory"]
+
+
+@pytest.mark.parametrize("bad", ["missing/out", "directory"])
+@pytest.mark.parametrize("flag", sorted(_OUTPUT_FLAGS))
+def test_unusable_output_path_exits_1(good_files, tmp_path, capsys, flag, bad):
+    (tmp_path / "directory").mkdir()
+    path = str(tmp_path / bad)
+    code, err = _run_with_bad_path(_OUTPUT_FLAGS[flag], good_files, tmp_path, path, capsys)
+    assert code == 1
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1, err
+    assert ".tmp" not in err
+    assert list((tmp_path / "directory").iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
 # Malformed inputs: exit 1 with an error line, never a traceback
 # ---------------------------------------------------------------------------
 
@@ -636,6 +727,21 @@ def test_config_value_of_wrong_type_exits_1(world_dir, tmp_path, capsys, command
     else:
         assert "not a JSON object" in err
     assert not (tmp_path / "s1.ckpt").exists()
+
+
+@pytest.mark.parametrize("command, name", [
+    ("eval", "checkpoint"), ("report", "report"), ("filter", "accepted"),
+    ("annotate", "judge_endpoints"),
+])
+def test_config_nul_in_a_string_exits_1(tmp_path, capsys, command, name):
+    # A read path, a write path and a list of endpoint URLs: the OS takes
+    # none of them with a NUL in it, so the config refuses it up front.
+    config_path = tmp_path / "config.json"
+    value = ["http://a\0b"] if name == "judge_endpoints" else "a\0b"
+    config_path.write_text(json.dumps({name: value}))
+    assert main([command, "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {config_path}: config: {name} must not contain a NUL character\n"
 
 
 def test_config_int_for_float_and_null_for_optional(tmp_path, capsys):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from cirlite.store import (
     l2_normalize,
     load_embeddings,
     parse_json,
+    read_input,
     read_record,
     save_embeddings,
     write_atomic,
@@ -131,8 +133,22 @@ def test_load_is_idempotent(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_missing_manifest():
-    with pytest.raises(ManifestError, match="not found"):
+    with pytest.raises(ManifestError, match="^cannot read manifest /nonexistent/manifest.json: "
+                                            "No such file or directory$"):
         load_embeddings("/nonexistent/manifest.json")
+
+
+@pytest.mark.parametrize("name", ["values_file", "ids_file"])
+def test_manifest_naming_a_directory_or_missing_file(tmp_path, name):
+    save_embeddings(random_matrix(0, count=3, dims=4), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    kind = name.replace("_", " ")
+    for target, reason in (("", "not a regular file"), ("gone", "No such file or directory"),
+                           ("a\0b", "embedded null byte")):
+        (tmp_path / "manifest.json").write_text(json.dumps({**manifest, name: target}))
+        message = f"^cannot read {kind} {re.escape(str(tmp_path))}.*: {reason}$"
+        with pytest.raises(ManifestError, match=message):
+            load_embeddings(tmp_path / "manifest.json")
 
 
 def test_count_mismatch_with_ids_file(tmp_path):
@@ -369,6 +385,46 @@ def test_write_atomic_creates_missing_file(tmp_path):
     write_atomic(tmp_path / "out.bin", b"\x00\x01")
     assert (tmp_path / "out.bin").read_bytes() == b"\x00\x01"
     assert [f.name for f in tmp_path.iterdir()] == ["out.bin"]
+
+
+@pytest.mark.parametrize("where, reason", [
+    ("missing/out.bin", "No such file or directory"), ("dir", "Is a directory"),
+    ("file/out.bin", "Not a directory"), ("a\0b", "embedded null byte"),
+])
+def test_write_atomic_failure_names_the_path(tmp_path, where, reason):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_bytes(b"")
+    path = f"{tmp_path}/{where}"
+    with pytest.raises(StoreError, match=f"^cannot write {re.escape(path)}: {reason}$"):
+        write_atomic(path, b"x")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["dir", "file"]
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# read_input
+# ---------------------------------------------------------------------------
+
+def test_read_input_reads_a_regular_file_through_a_symlink(tmp_path):
+    (tmp_path / "real").write_bytes(b"a\nb")
+    (tmp_path / "link").symlink_to(tmp_path / "real")
+    assert read_input(tmp_path / "link", StoreError, "thing") == b"a\nb"
+
+
+def test_read_input_refuses_a_non_regular_file_without_opening_it(tmp_path, monkeypatch):
+    # Opening a FIFO with no writer would block, and reading a device such
+    # as /dev/zero would not end; the refusal comes first.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("opened")
+
+    monkeypatch.setattr("cirlite.store.open", no_open, raising=False)
+    for path in (fifo, tmp_path, "/dev/null"):
+        message = f"^cannot read thing {re.escape(str(path))}: not a regular file$"
+        with pytest.raises(StoreError, match=message):
+            read_input(path, StoreError, "thing")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import importlib.util
 import inspect
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import cirlite.trainer as trainer_mod
 from cirlite.data import DEFAULT_VOCAB, EOS_TOKEN, generate_synthetic_world
 from cirlite.annotate import MockGenerator, MockJudge, annotate_triplets, filter_annotations
 from cirlite.model import PARAM_FIELDS, BatchItem, forward_batch, init_params
+from cirlite.store import StoreError
 from cirlite.trainer import (
     CheckpointError,
     GradientSet,
@@ -459,11 +461,13 @@ def test_multi_block_backward_matches_one_block(monkeypatch, seed):
     p, batch = small_params(seed), repeated_bigram_batch(seed)
     config = TrainConfig(stage=2, lambda_txt=0.5)
     _, _, _, trace = forward_batch(p, batch)
-    one = trainer_mod._backward_with_losses(p, trace, batch, config)
+    one = trainer_mod._backward_with_losses(p, trace, config,
+                                            trainer_mod._decoder_buffer(p.vocab_size))
     set_decoder_block_rows(monkeypatch, p, 2)
     assert trace.row_counts.size >= 5
-    many = trainer_mod._backward_with_losses(p, trace, batch, config)
-    again = trainer_mod._backward_with_losses(p, trace, batch, config)
+    buffer = trainer_mod._decoder_buffer(p.vocab_size)
+    many = trainer_mod._backward_with_losses(p, trace, config, buffer)
+    again = trainer_mod._backward_with_losses(p, trace, config, buffer)
     assert many[1:] == again[1:] == one[1:]
     for name in PARAM_FIELDS:
         expected = getattr(one[0], name)
@@ -501,10 +505,11 @@ def test_stage2_step_peak_memory_is_one_logits_buffer():
     buffer = trainer_mod._decoder_buffer(p.vocab_size)
     tracemalloc.start()
     try:
-        _, _, trace = _stage2_step(p, items, TrainConfig(stage=2), buffer=buffer)
+        _stage2_step(p, items, TrainConfig(stage=2), buffer)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    _, _, _, trace = forward_batch(p, items)
     logits_bytes = trace.row_counts.size * p.vocab_size * 8
     assert trace.row_counts.size > buffer.shape[0]
     assert peak <= 0.4 * logits_bytes, (peak, logits_bytes)
@@ -524,9 +529,9 @@ def test_train_stage2_passes_one_buffer_to_every_step(monkeypatch, tiny_world, t
     original = trainer_mod._backward_with_losses
     buffers = []
 
-    def recording(p, trace, batch, config, buffer=None):
+    def recording(p, trace, config, buffer):
         buffers.append(buffer)
-        return original(p, trace, batch, config, buffer)
+        return original(p, trace, config, buffer)
 
     monkeypatch.setattr(trainer_mod, "_backward_with_losses", recording)
     log = []
@@ -687,7 +692,7 @@ def test_stage1_gradient_check():
               for _ in range(2))
         for _ in range(5)
     ]
-    analytic, _, _ = _stage1_gradients(p, batch, TrainConfig(stage=1))
+    analytic, _ = _stage1_gradients(p, batch, TrainConfig(stage=1))
     tensors = {name: getattr(p, name).copy() for name in ("tok_emb", "w_txt", "b_txt")}
 
     def loss():
@@ -865,10 +870,10 @@ def test_stage1_gradient_and_combined_loss_scale_with_lambda_info():
     # not apply.
     p = small_params(13)
     batch = [([1, 2], [2, 3]), ([4], [5, 6]), ([7, 8, 9], [9])]
-    g1, losses1, _ = _stage1_gradients(p, batch, TrainConfig(stage=1))
-    g2, losses2, _ = _stage1_gradients(p, batch, TrainConfig(stage=1, lambda_info=2.0,
-                                                             lambda_txt=0.0))
-    g0, losses0, _ = _stage1_gradients(p, batch, TrainConfig(stage=1, lambda_info=0.0))
+    g1, losses1 = _stage1_gradients(p, batch, TrainConfig(stage=1))
+    g2, losses2 = _stage1_gradients(p, batch, TrainConfig(stage=1, lambda_info=2.0,
+                                                          lambda_txt=0.0))
+    g0, losses0 = _stage1_gradients(p, batch, TrainConfig(stage=1, lambda_info=0.0))
     for name in PARAM_FIELDS:
         np.testing.assert_array_equal(getattr(g2, name), 2.0 * getattr(g1, name))
         assert np.all(getattr(g0, name) == 0.0)
@@ -1158,7 +1163,7 @@ def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr("os.replace", failing_replace)
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(StoreError, match=f"^cannot write {re.escape(str(path))}: disk full$"):
         save_checkpoint(small_params(1), path, seed=2)
     assert path.read_bytes() == before
     assert [f.name for f in tmp_path.iterdir()] == ["p.ckpt"]
@@ -1288,8 +1293,9 @@ def test_checkpoint_header_int_temperature_and_null_seed_load(tmp_path):
 def test_stage2_step_loss_components():
     p = small_params(14)
     batch = small_batch(14)
-    losses = _stage2_step(p, batch, TrainConfig(stage=2))[1]
+    buffer = trainer_mod._decoder_buffer(p.vocab_size)
+    losses = _stage2_step(p, batch, TrainConfig(stage=2), buffer)[1]
     assert losses["combined"] == pytest.approx(losses["l_txt"] + losses["l_info"])
     config = TrainConfig(stage=2, lambda_txt=0.5, lambda_info=2.0)
-    weighted = _stage2_step(p, batch, config)[1]
+    weighted = _stage2_step(p, batch, config, buffer)[1]
     assert weighted["combined"] == pytest.approx(0.5 * losses["l_txt"] + 2.0 * losses["l_info"])
