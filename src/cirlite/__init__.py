@@ -17,7 +17,6 @@ from .annotate import (
     build_annotation_prompt,
     filter_annotations,
     judge_annotation,
-    mock_generate,
     parse_structured_output,
 )
 from .data import (

@@ -93,15 +93,15 @@ class JudgeClient(Protocol):
     def score(self, conclusion: str, target_descriptor: str) -> int: ...
 
 
-def build_annotation_prompt(t: Triplet, reference_descriptor: str) -> str:
-    """Build the deterministic three-stage prompt for one triplet; it holds
-    each stage marker exactly once."""
+def build_annotation_prompt(t: Triplet) -> str:
+    """Build the deterministic three-stage prompt from a triplet's reference
+    descriptor and modification; it holds each stage marker exactly once."""
     if not t.modification_text.strip():
         raise AnnotateError(f"pair {t.pair_id!r}: empty modification text")
-    if not reference_descriptor or not reference_descriptor.strip():
+    if not t.reference_descriptor or not t.reference_descriptor.strip():
         raise AnnotateError(f"pair {t.pair_id!r}: empty reference descriptor")
     text = _PROMPT_TEMPLATE.format(
-        reference=reference_descriptor.strip(),
+        reference=t.reference_descriptor.strip(),
         modification=t.modification_text.strip(),
         caption_marker=CAPTION_MARKER,
         reasoning_marker=REASONING_MARKER,
@@ -160,7 +160,8 @@ def _extract_field(prompt: str, label: str) -> str:
     return ""
 
 
-def mock_generate(prompt: str, seed: int) -> str:
+@dataclass(frozen=True)
+class MockGenerator:
     """Deterministic stand-in for a remote annotation model.
 
     Reads the reference descriptor and modification out of the prompt,
@@ -168,45 +169,39 @@ def mock_generate(prompt: str, seed: int) -> str:
     text. A short hash of (prompt, seed) is appended to the conclusion so
     different seeds give different conclusions.
     """
-    reference = _extract_field(prompt, "Reference:") or "item"
-    modification = _extract_field(prompt, "Modification:") or "unchanged"
-    tag = hashlib.sha256(f"{seed}\x1f{prompt}".encode("utf-8")).hexdigest()[:10]
-
-    attrs = [w for w in words(reference) if w not in ("item", "with")]
-    adds, drops = [], []
-    for word in words(modification):
-        if word.startswith("add") and len(word) > 3:
-            attr = word[3:]
-            adds.append(attr)
-            if attr not in attrs:
-                attrs.append(attr)
-        elif word.startswith("drop") and len(word) > 4:
-            attr = word[4:]
-            drops.append(attr)
-            if attr in attrs:
-                attrs.remove(attr)
-
-    described = "item with " + " ".join(attrs) if attrs else "plain item"
-    return (
-        f"{CAPTION_MARKER}\n"
-        f"reference is {reference}\n"
-        f"{REASONING_MARKER}\n"
-        f"1. instruction asks {modification}\n"
-        f"2. now add {' '.join(adds) or 'nothing'} remove {' '.join(drops) or 'nothing'}\n"
-        f"3. other attributes unchanged\n"
-        f"{CONCLUSION_MARKER}\n"
-        f"{described} {tag}\n"
-    )
-
-
-@dataclass(frozen=True)
-class MockGenerator:
-    """GeneratorClient backed by mock_generate; a pure function of its input."""
 
     seed: int
 
     def generate(self, prompt: str) -> str:
-        return mock_generate(prompt, self.seed)
+        reference = _extract_field(prompt, "Reference:") or "item"
+        modification = _extract_field(prompt, "Modification:") or "unchanged"
+        tag = hashlib.sha256(f"{self.seed}\x1f{prompt}".encode("utf-8")).hexdigest()[:10]
+
+        attrs = [w for w in words(reference) if w not in ("item", "with")]
+        adds, drops = [], []
+        for word in words(modification):
+            if word.startswith("add") and len(word) > 3:
+                attr = word[3:]
+                adds.append(attr)
+                if attr not in attrs:
+                    attrs.append(attr)
+            elif word.startswith("drop") and len(word) > 4:
+                attr = word[4:]
+                drops.append(attr)
+                if attr in attrs:
+                    attrs.remove(attr)
+
+        described = "item with " + " ".join(attrs) if attrs else "plain item"
+        return (
+            f"{CAPTION_MARKER}\n"
+            f"reference is {reference}\n"
+            f"{REASONING_MARKER}\n"
+            f"1. instruction asks {modification}\n"
+            f"2. now add {' '.join(adds) or 'nothing'} remove {' '.join(drops) or 'nothing'}\n"
+            f"3. other attributes unchanged\n"
+            f"{CONCLUSION_MARKER}\n"
+            f"{described} {tag}\n"
+        )
 
 
 @dataclass(frozen=True)
@@ -250,15 +245,12 @@ class _RemoteClient:
         self.timeout = timeout
         self.retries = retries
 
-    def _post(self, payload: dict) -> dict:
-        return _post_json(self.endpoint, payload, self.timeout, self.retries)
-
 
 class RemoteGenerator(_RemoteClient):
     """GeneratorClient talking JSON-over-HTTP to an annotation endpoint."""
 
     def generate(self, prompt: str) -> str:
-        reply = self._post({"prompt": prompt})
+        reply = _post_json(self.endpoint, {"prompt": prompt}, self.timeout, self.retries)
         if "text" not in reply or not isinstance(reply["text"], str):
             raise EndpointError(f"generator reply missing 'text': {reply!r}")
         return reply["text"]
@@ -268,7 +260,8 @@ class RemoteJudge(_RemoteClient):
     """JudgeClient talking JSON-over-HTTP to a scoring endpoint."""
 
     def score(self, conclusion: str, target_descriptor: str) -> int:
-        reply = self._post({"conclusion": conclusion, "target": target_descriptor})
+        reply = _post_json(self.endpoint, {"conclusion": conclusion, "target": target_descriptor},
+                           self.timeout, self.retries)
         if "score" not in reply or type(reply["score"]) is not int:
             raise EndpointError(f"judge reply has no integer 'score': {reply!r}")
         return reply["score"]
@@ -397,14 +390,14 @@ def annotate_triplets(triplets, generator: GeneratorClient, judges: list[JudgeCl
 
     Returns (annotations, n_unparseable). Unparseable generator outputs are
     counted and skipped rather than fatal; descriptors must be present on
-    every triplet.
+    every triplet (the prompt checks the reference descriptor).
     """
     annotations = []
     n_unparseable = 0
     for t in triplets:
-        if t.reference_descriptor is None or t.target_descriptor is None:
-            raise AnnotateError(f"pair {t.pair_id!r}: missing descriptors")
-        raw = generator.generate(build_annotation_prompt(t, t.reference_descriptor))
+        if t.target_descriptor is None:
+            raise AnnotateError(f"pair {t.pair_id!r}: missing target descriptor")
+        raw = generator.generate(build_annotation_prompt(t))
         try:
             annotation = parse_structured_output(raw, pair_id=t.pair_id)
         except ParseError:

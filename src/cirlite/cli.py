@@ -120,22 +120,20 @@ def _require(cfg: RunConfig, *names: str) -> None:
             raise CirliteError(f"missing required setting: {name}")
 
 
-def _load_world(cfg: RunConfig, *, with_triplets: bool, with_pairs: bool) -> data_mod.SynthWorld:
+def _load_world(cfg: RunConfig, *, text_pairs: bool = False) -> data_mod.SynthWorld:
     _require(cfg, "embeddings")
     matrix = load_embeddings(cfg.embeddings)
-    triplets = []
-    if with_triplets:
-        _require(cfg, "triplets")
-        triplets = data_mod.load_triplets(cfg.triplets)
-    pairs = []
-    if with_pairs:
-        _require(cfg, "nli_pairs")
-        pairs = data_mod.load_nli_pairs(cfg.nli_pairs)
-    return data_mod.SynthWorld(embeddings=matrix, triplets=triplets, nli_pairs=pairs)
+    _require(cfg, "nli_pairs" if text_pairs else "triplets")
+    triplets = [] if text_pairs else data_mod.load_triplets(cfg.triplets)
+    pairs = data_mod.load_nli_pairs(cfg.nli_pairs) if text_pairs else []
+    try:  # the world's own checks concern its triplets
+        return data_mod.SynthWorld(embeddings=matrix, triplets=triplets, nli_pairs=pairs)
+    except data_mod.DatasetError as exc:
+        raise data_mod.DatasetError(f"{cfg.triplets}: {exc}") from exc
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
-    world = _load_world(cfg, with_triplets=True, with_pairs=False)
+    world = _load_world(cfg)
     n_subset = sum(1 for t in world.triplets if t.subset_ids)
     n_gt = sum(1 for t in world.triplets if t.gt_ids)
     print(
@@ -206,12 +204,11 @@ def _train_config(cfg: RunConfig) -> trainer_mod.TrainConfig:
 def cmd_train(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint")
     train_config = _train_config(cfg)
+    world = _load_world(cfg, text_pairs=cfg.stage == 1)
     log: list = []
     if cfg.stage == 1:
-        world = _load_world(cfg, with_triplets=False, with_pairs=True)
         params = trainer_mod.train_stage1(world, train_config, loss_log=log)
     else:
-        world = _load_world(cfg, with_triplets=True, with_pairs=False)
         _require(cfg, "annotations")
         annotations = data_mod.load_annotations(cfg.annotations)
         init = None  # --from-scratch: train_stage2 starts where train_stage1 would
@@ -239,10 +236,9 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint", "embeddings", "triplets", "report")
     params = trainer_mod.load_checkpoint(cfg.checkpoint)
-    matrix = load_embeddings(cfg.embeddings)
-    triplets = data_mod.load_triplets(cfg.triplets)
+    world = _load_world(cfg)
     report = evaluate_queries(
-        params, matrix, triplets,
+        params, world.embeddings, world.triplets,
         k_list=cfg.k_list, subset_k_list=cfg.subset_k_list,
         map_k_list=cfg.map_k_list, ranked_out=cfg.ranked_out,
     )
@@ -322,8 +318,8 @@ def main(argv=None) -> int:
             print(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True))
             return 0
         return _COMMANDS[args.command][0](cfg)
-    except (CirliteError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CirliteError, OSError, MemoryError) as exc:  # a bare MemoryError has no text
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

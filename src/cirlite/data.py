@@ -23,6 +23,11 @@ DEFAULT_VOCAB = 4096
 # Token id 0 is reserved for end-of-sequence; tokenize() never emits it.
 EOS_TOKEN = 0
 
+# Synthetic worlds: subset size (target included), embedding noise std, text pairs per item.
+SUBSET_SIZE = 6
+NOISE_SCALE = 0.05
+NLI_PER_ITEM = 3
+
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
 # Fixed attribute vocabulary for synthetic worlds (fashion-flavored).
@@ -104,20 +109,26 @@ class CoTAnnotation:
                 )
 
 
-def _load_jsonl(path, kind: str, cls) -> list:
-    """One cls record per non-blank JSONL line; every error names the file and line."""
+def _load_jsonl(path, kind: str, cls) -> dict:
+    """line number -> cls record of each non-blank JSONL line; errors name file and line."""
     lines = read_input(path, DatasetError, f"{kind} file").split(b"\n")
-    items = []
+    items = {}
     for lineno, line in enumerate(lines, start=1):
         if line.strip():
             doc = parse_json(line, DatasetError, f"{path}:{lineno}: {kind}")
-            items.append(read_record(cls, doc, DatasetError, f"{path}:{lineno}"))
+            items[lineno] = read_record(cls, doc, DatasetError, f"{path}:{lineno}")
     return items
 
 
 def load_triplets(path) -> list[Triplet]:
-    """Load triplets from JSONL, validating invariants with line numbers."""
-    return _load_jsonl(path, "triplet", Triplet)
+    """Load triplets from JSONL with line-numbered errors; a repeated pair_id names both lines."""
+    records = _load_jsonl(path, "triplet", Triplet)
+    first_line = {}
+    for lineno, t in records.items():
+        first = first_line.setdefault(t.pair_id, lineno)
+        if first != lineno:
+            raise DatasetError(f"{path}:{lineno}: pair_id {t.pair_id!r} repeats line {first}")
+    return list(records.values())
 
 
 def write_triplets(triplets, path) -> None:
@@ -125,8 +136,8 @@ def write_triplets(triplets, path) -> None:
 
 
 def load_annotations(path) -> list[CoTAnnotation]:
-    """Load annotations from JSONL (same validation discipline as triplets)."""
-    return _load_jsonl(path, "annotation", CoTAnnotation)
+    """Load annotations from JSONL, as triplets; a pair_id may repeat (several rationales)."""
+    return list(_load_jsonl(path, "annotation", CoTAnnotation).values())
 
 
 def write_annotations(annotations, path) -> None:
@@ -200,7 +211,11 @@ class SynthWorld:
 
     def __post_init__(self):
         known = set(self.embeddings.ids)
+        pair_ids = set()
         for t in self.triplets:
+            if t.pair_id in pair_ids:
+                raise DatasetError(f"pair_id {t.pair_id!r} names two triplets")
+            pair_ids.add(t.pair_id)
             referenced = {t.reference_id, t.target_id}
             referenced.update(t.subset_ids or ())
             referenced.update(t.gt_ids or ())
@@ -231,10 +246,7 @@ def generate_synthetic_world(
     n_attrs: int,
     *,
     n_triplets: int | None = None,
-    subset_size: int = 6,
-    noise_scale: float = 0.05,
     dims: int = 64,
-    nli_per_item: int = 3,
 ) -> SynthWorld:
     """Build a deterministic attribute world for desk-scale experiments.
 
@@ -259,8 +271,6 @@ def generate_synthetic_world(
         )
     if dims < n_attrs:
         raise DatasetError(f"dims must be >= n_attrs, got {dims} < {n_attrs}")
-    if subset_size < 1:
-        raise DatasetError(f"subset_size must be >= 1, got {subset_size}")
 
     rng = np.random.default_rng(seed)
     names = _ATTR_WORDS[:n_attrs]
@@ -272,7 +282,7 @@ def generate_synthetic_world(
 
     basis, _ = np.linalg.qr(rng.standard_normal((dims, n_attrs)))
     basis = basis.T  # (n_attrs, dims), orthonormal rows
-    values = attrs @ basis + noise_scale * rng.standard_normal((n_items, dims))
+    values = attrs @ basis + NOISE_SCALE * rng.standard_normal((n_items, dims))
     ids = [f"item{i:04d}" for i in range(n_items)]
     embeddings = EmbeddingMatrix(ids=ids, values=values.astype(np.float32))
 
@@ -292,7 +302,7 @@ def generate_synthetic_world(
         ham_tgt = np.bitwise_count(codes ^ codes[tgt])
         mod = _modification_text(names, attrs[ref], attrs[tgt])
 
-        n_distract = min(subset_size, n_items) - 1
+        n_distract = min(SUBSET_SIZE, n_items) - 1
         # Prefer attribute-similar distractors, like the curated subsets of
         # real benchmarks; random jitter breaks ties deterministically. Only
         # the n_distract + 1 smallest keys are needed, in key order.
@@ -319,7 +329,7 @@ def generate_synthetic_world(
         )
 
     nli_pairs = []
-    for k in range(nli_per_item * n_items):
+    for k in range(NLI_PER_ITEM * n_items):
         if rng.random() < 0.5:
             sentence = _descriptor(names, attrs[int(rng.integers(n_items))])
         else:
@@ -370,7 +380,7 @@ class _NLIPair:
 
 def load_nli_pairs(path) -> list[tuple[str, str]]:
     """Load premise/positive text pairs from JSONL."""
-    return [(r.premise, r.positive) for r in _load_jsonl(path, "nli pair", _NLIPair)]
+    return [(r.premise, r.positive) for r in _load_jsonl(path, "nli pair", _NLIPair).values()]
 
 
 def write_nli_pairs(pairs, path) -> None:

@@ -76,14 +76,17 @@ class ParamSet:
         expected = param_shapes(self.vocab_size, self.d_tok, self.d_img,
                                 self.d_joint, self.d_hidden)
         for name, shape in expected.items():
-            actual = getattr(self, name).shape
-            if actual != shape:
-                raise ModelError(f"{name} has shape {actual}, expected {shape}")
-        for name in PARAM_FIELDS:
-            if not np.all(np.isfinite(getattr(self, name))):
+            value = getattr(self, name)
+            if value.shape != shape:
+                raise ModelError(f"{name} has shape {value.shape}, expected {shape}")
+            if not np.all(np.isfinite(value)):
                 raise ModelError(f"{name} contains NaN or Inf")
-        if not (np.isfinite(self.temperature) and self.temperature > 0):
-            raise ModelError(f"temperature must be positive, got {self.temperature}")
+        try:
+            self.temperature = float(self.temperature)
+        except OverflowError as exc:  # an int past the float range
+            raise ModelError(f"temperature {exc}") from exc
+        if not 0 < self.temperature < np.inf:
+            raise ModelError(f"temperature must be positive and finite, got {self.temperature}")
 
     @property
     def vocab_size(self) -> int:
@@ -128,12 +131,6 @@ def init_params(
            for name, shape in shapes.items()},
         temperature=temperature,
     )
-
-
-def _check_tokens(p: ParamSet, toks) -> None:
-    for tok in toks:
-        if not 0 <= tok < p.vocab_size:
-            raise ModelError(f"token {tok} outside [0, {p.vocab_size})")
 
 
 # Model blocks. Each is the one implementation of its computation, shared by
@@ -305,38 +302,39 @@ def forward_batch(p: ParamSet, items: Sequence[BatchItem]):
     n = len(items)
     d_img = p.d_img
 
+    # One walk: images, modification tokens, and targets + [EOS] flattened.
     imgs = np.empty((n, d_img))
     target_imgs = np.empty((n, d_img))
-    mod_toks = []
+    mod_toks, target_toks, pos_counts = [], [], []
     for j, item in enumerate(items):
         img = np.asarray(item.img_vec, dtype=np.float64)
         tgt = np.asarray(item.target_img_vec, dtype=np.float64)
         if img.shape != (d_img,) or tgt.shape != (d_img,):
-            raise ModelError(
-                f"batch item {j}: image vectors must have shape ({d_img},)"
-            )
-        toks = list(item.mod_toks)
-        if not toks:
+            raise ModelError(f"batch item {j}: image vectors must have shape ({d_img},)")
+        imgs[j], target_imgs[j] = img, tgt
+        mod_toks.append(list(item.mod_toks))
+        if not mod_toks[-1]:
             raise ModelError(f"batch item {j}: empty modification tokens")
-        _check_tokens(p, toks)
-        _check_tokens(p, item.target_toks)
-        imgs[j] = img
-        target_imgs[j] = tgt
-        mod_toks.append(toks)
+        target_toks += [*item.target_toks, EOS_TOKEN]
+        pos_counts.append(len(item.target_toks) + 1)
+
+    # Each token array is checked once: an integer dtype, each in [0, vocab_size).
+    targets_flat = np.asarray(target_toks)
+    for toks in (np.concatenate(mod_toks), targets_flat):
+        if toks.dtype.kind not in "iu":
+            raise ModelError(f"tokens must be integers, got {toks.dtype}")
+        outside = (toks < 0) | (toks >= p.vocab_size)
+        if outside.any():
+            raise ModelError(f"token {toks[outside.argmax()]} outside [0, {p.vocab_size})")
+    targets_flat = targets_flat.astype(np.int64, copy=False)
 
     x_mean, txt, g_img, fused, q_mat = encode_queries(p, imgs, mod_toks)
     t_mat = image_block(p, target_imgs)
 
-    # Teacher forcing over target_toks + [EOS]: inputs are BOS then the
-    # shifted targets, flattened across the batch for one big matmul.
-    prev_toks, target_toks, pos_counts = [], [], []
-    for item in items:
-        targets = list(item.target_toks) + [EOS_TOKEN]
-        prev_toks += [p.bos_token] + targets[:-1]
-        target_toks += targets
-        pos_counts.append(len(targets))
-    prev_flat = np.array(prev_toks, dtype=np.int64)
-    targets_flat = np.array(target_toks, dtype=np.int64)
+    # Decoder inputs are BOS then each item's shifted targets.
+    bounds = np.concatenate([[0], np.cumsum(pos_counts)])
+    prev_flat = np.roll(targets_flat, 1)
+    prev_flat[bounds[:-1]] = p.bos_token
     item_index = np.repeat(np.arange(n, dtype=np.int64), pos_counts)
     # One decoder row per distinct (item, previous token) pair; prev ranges
     # over the vocabulary plus BOS, so the key is unique per pair.
@@ -346,7 +344,6 @@ def forward_batch(p: ParamSet, items: Sequence[BatchItem]):
     )
     row_item, row_prev = np.divmod(keys, p.vocab_size + 1)
     zd, a_hid = decoder_block(p, q_mat[row_item], row_prev)
-    bounds = np.concatenate([[0], np.cumsum(pos_counts)])
 
     trace = ForwardTrace(
         mod_toks=mod_toks,

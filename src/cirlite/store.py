@@ -303,8 +303,8 @@ def load_embeddings(manifest_path) -> EmbeddingMatrix:
 
     Raises a distinct error per failure mode: ManifestError for missing or
     malformed files, ChecksumMismatchError for corrupted payloads,
-    CountMismatchError for count disagreements, NonFiniteValueError for
-    NaN/Inf values, DuplicateIdError for repeated ids.
+    CountMismatchError for count disagreements; EmbeddingMatrix's own
+    errors (NonFiniteValueError, DuplicateIdError, ...) name the manifest.
     """
     path = Path(manifest_path)
     raw = read_input(manifest_path, ManifestError, "manifest")
@@ -333,7 +333,7 @@ def load_embeddings(manifest_path) -> EmbeddingMatrix:
             f"values file holds {len(raw)} bytes, expected {4 * count * dims} "
             f"for {count}x{dims} float32"
         )
-    values = np.frombuffer(raw, dtype="<f4").reshape(count, dims).copy()
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteValueError(f"values file {values_path} contains NaN or Inf")
-    return EmbeddingMatrix(ids=ids, values=values)
+    try:  # a writable copy, so the matrix owns its values
+        return EmbeddingMatrix(ids, np.frombuffer(raw, dtype="<f4").reshape(count, dims).copy())
+    except StoreError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc

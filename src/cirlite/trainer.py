@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import asdict, dataclass, field, make_dataclass, replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from .model import (
     PARAM_FIELDS,
     BatchItem,
     ForwardTrace,
+    ModelError,
     ParamSet,
     forward_batch,
     init_params,
@@ -485,8 +487,6 @@ def finite_diff_grad(p: ParamSet, batch, config: TrainConfig,
     result is bitwise that of perturbing one entry per call. The
     temperature has its own central difference.
     """
-    if epsilon <= 0:
-        raise TrainerError(f"epsilon must be > 0, got {epsilon}")
     batch = list(batch)
     loss_fn = _make_loss_fn(p, batch, config)
     tensors = {name: getattr(p, name) for name in PARAM_FIELDS}
@@ -686,20 +686,18 @@ class _CheckpointHeader:
 
 
 def save_checkpoint(p: ParamSet, path, *, seed: int | None = None) -> None:
-    """Write a checkpoint: one JSON header line, then float32 LE blocks in
-    PARAM_FIELDS order. Deterministic bytes for identical parameters; the
-    file is replaced atomically, so a failed write leaves any earlier one."""
+    """Write a checkpoint: one JSON header line, then one float32 LE blob of
+    the tensors in PARAM_FIELDS order. Deterministic bytes for identical
+    parameters; replaced atomically, so a failed write leaves any earlier one."""
     header = _CheckpointHeader(CHECKPOINT_VERSION, p.vocab_size, p.d_tok, p.d_img,
                                p.d_joint, p.d_hidden, p.temperature, seed)
-    blob = bytearray(json.dumps(asdict(header), sort_keys=True).encode("utf-8"))
-    blob += b"\n"
-    for name in PARAM_FIELDS:
-        blob += np.ascontiguousarray(getattr(p, name), dtype="<f4").tobytes()
-    write_atomic(path, bytes(blob))
+    blob = np.concatenate([getattr(p, name).ravel() for name in PARAM_FIELDS]).astype("<f4")
+    write_atomic(path, f"{json.dumps(asdict(header), sort_keys=True)}\n".encode() + blob.tobytes())
 
 
 def load_checkpoint(path) -> ParamSet:
-    """Load and validate a checkpoint written by save_checkpoint."""
+    """Load a checkpoint written by save_checkpoint. The file's format is
+    checked here, the values by ParamSet; every error names the file."""
     data = read_input(path, CheckpointError, "checkpoint")
     newline = data.find(b"\n")
     if newline < 0:
@@ -711,30 +709,21 @@ def load_checkpoint(path) -> ParamSet:
         raise CheckpointError(
             f"checkpoint {path} has version {header.version!r}, expected {CHECKPOINT_VERSION}"
         )
-    payload = data[newline + 1:]
-    try:
-        temperature = float(header.temperature)
-    except OverflowError as exc:
-        raise CheckpointError(f"checkpoint {path} header: temperature {exc}") from exc
     shapes = param_shapes(header.vocab_size, header.d_tok, header.d_img,
                           header.d_joint, header.d_hidden)
-    total = sum(int(np.prod(shape)) for shape in shapes.values())
-    if len(payload) != 4 * total:
-        raise CheckpointError(
-            f"checkpoint {path} holds {len(payload)} payload bytes, expected "
-            f"{4 * total} for the header dimensions (truncated or inconsistent)"
-        )
-    tensors = {}
-    offset = 0
-    for name in PARAM_FIELDS:
-        shape = shapes[name]
-        size = int(np.prod(shape))
-        block = payload[offset:offset + 4 * size]
-        offset += 4 * size
-        tensors[name] = (
-            np.frombuffer(block, dtype="<f4").astype(np.float64).reshape(shape)
-        )
-    return ParamSet(**tensors, temperature=temperature)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    payload = data[newline + 1:]
+    if len(payload) != 4 * sum(sizes):
+        raise CheckpointError(f"checkpoint {path} holds {len(payload)} payload bytes, expected "
+                              f"{4 * sum(sizes)} for its header (truncated or inconsistent)")
+    blocks = np.split(np.frombuffer(payload, dtype="<f4").astype(np.float64),
+                      np.cumsum(sizes)[:-1])
+    try:
+        return ParamSet(**{name: block.reshape(shape)
+                           for (name, shape), block in zip(shapes.items(), blocks)},
+                        temperature=header.temperature)
+    except ModelError as exc:
+        raise CheckpointError(f"checkpoint {path}: {exc}") from exc
 
 
 def write_loss_log(entries, path) -> None:

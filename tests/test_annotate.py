@@ -23,7 +23,6 @@ from cirlite.annotate import (
     build_annotation_prompt,
     filter_annotations,
     judge_annotation,
-    mock_generate,
     parse_structured_output,
 )
 from cirlite.data import CoTAnnotation, Triplet
@@ -47,30 +46,30 @@ def make_triplet(**overrides):
 # ---------------------------------------------------------------------------
 
 def test_prompt_contains_each_marker_once():
-    prompt = build_annotation_prompt(make_triplet(), "item with blue round")
+    prompt = build_annotation_prompt(make_triplet())
     for marker in ("[CAPTION]", "[REASONING]", "[CONCLUSION]"):
         assert prompt.count(marker) == 1
 
 
 def test_prompt_embeds_descriptor_and_modification():
-    prompt = build_annotation_prompt(make_triplet(), "item with blue round")
+    prompt = build_annotation_prompt(make_triplet())
     assert "item with blue round" in prompt
     assert "addred dropblue" in prompt
 
 
 def test_prompt_rejects_empty_modification():
     with pytest.raises(AnnotateError, match="empty modification"):
-        build_annotation_prompt(make_triplet(modification_text="  "), "item")
+        build_annotation_prompt(make_triplet(modification_text="  ", reference_descriptor="item"))
 
 
 def test_prompt_rejects_a_marker_in_the_descriptor():
     with pytest.raises(AnnotateError, match=r"prompt must contain \[CAPTION\] exactly once"):
-        build_annotation_prompt(make_triplet(), "item [CAPTION] blue")
+        build_annotation_prompt(make_triplet(reference_descriptor="item [CAPTION] blue"))
 
 
 def test_prompt_deterministic():
-    a = build_annotation_prompt(make_triplet(), "item with blue round")
-    b = build_annotation_prompt(make_triplet(), "item with blue round")
+    a = build_annotation_prompt(make_triplet())
+    b = build_annotation_prompt(make_triplet())
     assert a == b
 
 
@@ -159,27 +158,27 @@ def test_mock_output_always_parseable():
     rng = np.random.default_rng(1)
     for trial in range(30):
         t = make_triplet(modification_text="addred dropblue" if trial % 2 else "addtall")
-        prompt = build_annotation_prompt(t, t.reference_descriptor)
-        ann = parse_structured_output(mock_generate(prompt, int(rng.integers(1000))))
+        prompt = build_annotation_prompt(t)
+        ann = parse_structured_output(MockGenerator(int(rng.integers(1000))).generate(prompt))
         assert ann.conclusion
 
 
 def test_mock_deterministic():
-    prompt = build_annotation_prompt(make_triplet(), "item with blue round")
-    assert mock_generate(prompt, 7) == mock_generate(prompt, 7)
+    prompt = build_annotation_prompt(make_triplet())
+    assert MockGenerator(7).generate(prompt) == MockGenerator(7).generate(prompt)
 
 
 def test_mock_applies_add_and_drop():
-    prompt = build_annotation_prompt(make_triplet(), "item with blue round")
-    ann = parse_structured_output(mock_generate(prompt, 0))
+    prompt = build_annotation_prompt(make_triplet())
+    ann = parse_structured_output(MockGenerator(0).generate(prompt))
     words = ann.conclusion.split()
     assert "red" in words and "round" in words and "blue" not in words
 
 
 def test_mock_seed_variation_no_collisions():
-    prompt = build_annotation_prompt(make_triplet(), "item with blue round")
+    prompt = build_annotation_prompt(make_triplet())
     conclusions = {
-        parse_structured_output(mock_generate(prompt, seed)).conclusion
+        parse_structured_output(MockGenerator(seed).generate(prompt)).conclusion
         for seed in range(1000)
     }
     assert len(conclusions) == 1000
@@ -308,7 +307,7 @@ def test_unparseable_outputs_counted_not_fatal():
         def generate(self, prompt):
             if "dropblue" in prompt:
                 return "no markers here at all"
-            return mock_generate(prompt, 0)
+            return MockGenerator(0).generate(prompt)
 
     triplets = [
         make_triplet(pair_id="p0"),                              # dropblue -> bad

@@ -89,3 +89,29 @@ def file_calls(package: Path) -> list[str]:
 
 def test_only_the_store_touches_files():
     assert file_calls(PACKAGE) == []
+
+
+def unpassed_keyword_only_parameters(package: Path, callers: list[Path]) -> list[str]:
+    """module.function(name) for every keyword-only parameter of a public
+    top-level function in package that no call in callers passes by that
+    keyword. Such a parameter is a setting nothing sets: a constant."""
+    passed = set()
+    for path in callers:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                passed.update((name, kw.arg) for kw in node.keywords if kw.arg)
+    unpassed = []
+    for path in sorted(package.glob("*.py")):
+        for node in _parse(path).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                unpassed += [f"{path.stem}.{node.name}({arg.arg})" for arg in node.args.kwonlyargs
+                             if (node.name, arg.arg) not in passed]
+    return unpassed
+
+
+def test_every_keyword_only_parameter_is_passed():
+    callers = [*sorted(PACKAGE.glob("*.py")), ROOT / "tests" / "test_acceptance.py",
+               *sorted((ROOT / "benchmarks").glob("*.py"))]
+    assert unpassed_keyword_only_parameters(PACKAGE, callers) == []

@@ -6,12 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cirlite
 from cirlite.cli import main
 from cirlite.data import (
     CoTAnnotation,
+    Triplet,
     generate_synthetic_world,
     load_annotations,
     save_world,
@@ -417,6 +419,74 @@ def test_undecodable_input_exits_1(world_dir, tmp_path, capsys, target, damage):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert ("not UTF-8" if target == "ids" else "is malformed JSON") in err
+
+
+def _damaged_input(case, world_dir, tmp_path):
+    """argv of a command whose one damaged input is named by case, and the
+    path of the file its error must name."""
+    from cirlite.model import init_params
+    from cirlite.trainer import save_checkpoint
+
+    emb = Path(world_dir["embeddings"]).parent
+    for f in emb.iterdir():
+        (tmp_path / f.name).write_bytes(f.read_bytes())
+    manifest, triplets = tmp_path / "manifest.json", tmp_path / "t.jsonl"
+    ckpt = tmp_path / "p.ckpt"
+    save_checkpoint(init_params(0, vocab_size=512, d_img=16), ckpt)
+    triplet_lines = Path(world_dir["eval"]).read_text().splitlines(keepends=True)
+    triplets.write_text("".join(triplet_lines))
+    ingest = ["ingest", "--embeddings", str(manifest), "--triplets", str(triplets)]
+    evaluate = ["eval", "--checkpoint", str(ckpt), "--embeddings", str(manifest),
+                "--triplets", str(triplets), "--report", str(tmp_path / "r.json")]
+    kind, _, value = case.partition("=")
+    if kind == "payload":  # the last float32 of the payload, b_out's last entry
+        ckpt.write_bytes(ckpt.read_bytes()[:-4] + np.float32(np.nan).tobytes())
+        return evaluate, ckpt
+    if kind == "temperature":
+        data = ckpt.read_bytes()
+        newline = data.index(b"\n")
+        header = {**json.loads(data[:newline]), "temperature": json.loads(value)}
+        ckpt.write_bytes(json.dumps(header).encode() + data[newline:])
+        return evaluate, ckpt
+    if kind == "ids":
+        ids = tmp_path / "ids.txt"
+        ids.write_text(ids.read_text().replace("item0003\n", value + "\n", 1))
+        return ingest, manifest
+    if kind == "pair_id":  # the second triplet takes the first one's pair_id
+        first, second = (json.loads(line) for line in triplet_lines[:2])
+        second["pair_id"] = first["pair_id"]
+        triplets.write_text("".join([triplet_lines[0], json.dumps(second) + "\n",
+                                     *triplet_lines[2:]]))
+        return ingest, triplets
+    write_triplets([Triplet("px", "item0000", "addred", value)], triplets)
+    return evaluate, triplets
+
+
+@pytest.mark.parametrize("case", [
+    "payload", "temperature=-1", "temperature=NaN", "temperature=1" + "0" * 399,
+    "ids=", "ids=item0002", "pair_id", "target_id=nope",
+])
+def test_content_error_names_its_file(world_dir, tmp_path, capsys, case):
+    argv, named = _damaged_input(case, world_dir, tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(named) in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 745. GiB"), "error: Unable to allocate 745. GiB\n"),
+    (MemoryError(), "error: MemoryError\n"),
+])
+def test_out_of_memory_exits_1_with_one_line(world_dir, monkeypatch, capsys, exc, line):
+    def exhausted(path):
+        raise exc
+
+    monkeypatch.setattr("cirlite.cli.load_embeddings", exhausted)
+    assert main(["ingest", "--embeddings", world_dir["embeddings"],
+                 "--triplets", world_dir["triplets"]]) == 1
+    assert capsys.readouterr().err == line
 
 
 _GOOD_REPORT = {"query_count": 2, "subset_query_count": 2, "recall": {"5": 50.0},

@@ -11,6 +11,7 @@ import pytest
 from cirlite.data import (
     CoTAnnotation,
     DatasetError,
+    SynthWorld,
     Triplet,
     batch_iter,
     generate_synthetic_world,
@@ -75,6 +76,30 @@ def test_load_reports_line_number(tmp_path):
     path.write_text(good + "\n" + bad + "\n")
     with pytest.raises(DatasetError, match=":2:"):
         load_triplets(path)
+
+
+def test_load_rejects_repeated_pair_id_naming_both_lines(tmp_path):
+    # Training joins annotations to triplets by pair_id: a repeated one would
+    # join an annotation to another triplet's images.
+    path = tmp_path / "t.jsonl"
+    write_triplets([make_triplet(), make_triplet(pair_id="p1"),
+                    make_triplet(target_id="c")], path)
+    with pytest.raises(DatasetError, match=f"{path}:3: pair_id 'p0' repeats line 1"):
+        load_triplets(path)
+
+
+def test_world_rejects_repeated_pair_id():
+    matrix = EmbeddingMatrix(ids=["a", "b", "c"], values=np.eye(3, dtype=np.float32))
+    with pytest.raises(DatasetError, match="pair_id 'p0' names two triplets"):
+        SynthWorld(matrix, [make_triplet(), make_triplet(target_id="c")], [])
+
+
+def test_load_annotations_keeps_repeated_pair_id(tmp_path):
+    # Several rationales for one triplet: each joins that triplet.
+    path = tmp_path / "a.jsonl"
+    annotations = [CoTAnnotation("p0", "cap", ["s"], f"conc {i}") for i in range(2)]
+    write_annotations(annotations, path)
+    assert load_annotations(path) == annotations
 
 
 def test_load_reports_malformed_json_line(tmp_path):
@@ -357,11 +382,11 @@ def test_world_bytes_match_golden_hash(args, digest):
 
 
 def test_world_subsets_covering_the_gallery_match_golden_hash():
-    # subset_size >= n_items: every subset is the whole gallery, and the
+    # SUBSET_SIZE >= n_items: every subset is the whole gallery, and the
     # distractor pick partitions at the last index, keeping every item.
-    world = generate_synthetic_world(4, 12, 4, subset_size=20)
+    world = generate_synthetic_world(4, 5, 4)
     assert world_digest(world) == (
-        "bf47758b6b2f1658d81a78a3f5dd758360faedd1b6c82acbe66d1ccc531b58e0"
+        "1fce97dd06afb7584da36945f6177c315e568e1a3d760e99244d3046219ee767"
     )
     for t in world.triplets:
         assert sorted(t.subset_ids) == sorted(world.embeddings.ids)
@@ -383,13 +408,13 @@ def test_world_parameter_bounds():
 
 
 def test_world_structure():
-    world = generate_synthetic_world(1, 40, 6, n_triplets=60, subset_size=5)
+    world = generate_synthetic_world(1, 40, 6, n_triplets=60)
     assert world.item_attrs.shape == (40, 6)
     # Attribute vectors are distinct and nonzero.
     codes = {tuple(row) for row in world.item_attrs}
     assert len(codes) == 40 and tuple([0] * 6) not in codes
     for t in world.triplets:
-        assert len(t.subset_ids) == 5 and t.target_id in t.subset_ids
+        assert len(t.subset_ids) == 6 and t.target_id in t.subset_ids
         assert t.target_id in t.gt_ids
         assert t.reference_descriptor and t.target_descriptor
         assert t.modification_text

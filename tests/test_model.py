@@ -240,6 +240,9 @@ def test_forward_teacher_forcing_matches_numpy_reference():
 @pytest.mark.parametrize("field, toks, message", [
     ("mod_toks", [], "empty modification tokens"), ("mod_toks", [16], "token 16 outside"),
     ("target_toks", [16], "token 16 outside"), ("target_toks", [-1], "token -1 outside"),
+    ("mod_toks", [1.0], "tokens must be integers, got float64"),
+    ("mod_toks", [True], "tokens must be integers, got bool"),
+    ("target_toks", [2.5], "tokens must be integers, got float64"),
 ])
 def test_forward_rejects_tokens_outside_vocabulary(field, toks, message):
     item = dataclasses.replace(make_batch(0, 1)[0], **{field: toks})

@@ -959,6 +959,21 @@ def test_stage2_fast_mode_uses_fewer_tokens(tiny_world, tiny_accepted):
     assert fast_tokens < full_tokens
 
 
+def test_training_items_join_each_rationale_to_its_triplet(tiny_world, tiny_accepted):
+    # Annotations may repeat a pair_id (several rationales for one triplet);
+    # triplets may not, so each joins the one triplet's images.
+    a = tiny_accepted[0]
+    t = next(t for t in tiny_world.triplets if t.pair_id == a.pair_id)
+    matrix = tiny_world.embeddings
+    items = build_training_items(tiny_world, [a, dataclasses.replace(a, conclusion="x")],
+                                 "fast", TINY_VOCAB)
+    for item in items:
+        np.testing.assert_array_equal(item.img_vec,
+                                      matrix.values[matrix.row_index(t.reference_id)])
+        np.testing.assert_array_equal(item.target_img_vec,
+                                      matrix.values[matrix.row_index(t.target_id)])
+
+
 def test_stage2_logs_both_loss_components(tiny_world, tiny_accepted):
     init = init_params(2, vocab_size=TINY_VOCAB,
                        d_img=tiny_world.embeddings.dims)
